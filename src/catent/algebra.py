@@ -13,8 +13,7 @@ checkers below test the monoid laws exactly (canonical-class equality,
 no tolerance) and contractivity numerically.
 """
 
-import itertools
-from typing import Sequence
+import functools
 
 from .model import (
     CategoricalVariable,
@@ -26,14 +25,7 @@ from .model import (
     join,
 )
 from .entropy import TOLERANCE
-from .metric import (
-    AxiomReport,
-    DEFAULT_SAMPLES,
-    EXHAUSTIVE_LIMIT,
-    _Gauge,
-    partition_distance,
-)
-from .randgen import SplitMix64
+from .metric import AxiomReport, _Gauge, instances, partition_distance
 
 
 def joint(
@@ -78,13 +70,6 @@ def relabel(
     return CategoricalVariable(var.name + suffix, tuple(rename[l] for l in var.labels))
 
 
-def _sample_name_tuples(
-    names: Sequence[str], width: int, count: int, seed: int
-) -> list[tuple[str, ...]]:
-    rng = SplitMix64(seed)
-    return [tuple(rng.choice(names) for _ in range(width)) for _ in range(count)]
-
-
 def check_monoid_laws(
     dataset: Dataset,
     triples: int | None = None,
@@ -99,17 +84,10 @@ def check_monoid_laws(
     the operands by relabeled (indiscernible) copies leaves the class
     of the result unchanged.
 
-    Triples of column names are exhaustive for datasets of at most
-    ``EXHAUSTIVE_LIMIT`` columns, otherwise ``triples`` (default 1000)
-    seeded samples.
+    The triples are ``catent.metric.instances(dataset.names, 3,
+    triples, seed)``.
     """
-    names = list(dataset.names)
-    if triples is None and len(names) <= EXHAUSTIVE_LIMIT:
-        triple_list = list(itertools.product(names, repeat=3))
-    else:
-        triple_list = _sample_name_tuples(
-            names, 3, triples or DEFAULT_SAMPLES, seed
-        )
+    triple_list = instances(dataset.names, 3, triples, seed)
 
     const = identity_variable(dataset)
     canon = lambda v: canonicalize(v, dataset)  # noqa: E731
@@ -161,27 +139,18 @@ def check_contractivity(
 ) -> AxiomReport:
     """Validate ``d(x*y, z*w) <= d(x,z) + d(y,w)`` over column quadruples.
 
-    Exhaustive over all ordered quadruples for datasets of at most
-    ``EXHAUSTIVE_LIMIT`` columns, otherwise ``quadruples`` (default
-    1000) seeded samples.  The slack reported is the amount by which
-    the right side exceeds the left.
+    The quadruples are ``catent.metric.instances(dataset.names, 4,
+    quadruples, seed)``.  The slack reported is the amount by which the
+    right side exceeds the left.
     """
-    names = list(dataset.names)
-    if quadruples is None and len(names) <= EXHAUSTIVE_LIMIT:
-        quad_list = list(itertools.product(names, repeat=4))
-    else:
-        quad_list = _sample_name_tuples(
-            names, 4, quadruples or DEFAULT_SAMPLES, seed
-        )
+    names = dataset.names
+    quad_list = instances(names, 4, quadruples, seed)
 
     parts = {nm: induced_partition(dataset[nm], dataset) for nm in names}
-    joint_parts: dict[tuple[str, str], object] = {}
 
+    @functools.cache
     def jp(a: str, b: str):
-        key = (a, b)
-        if key not in joint_parts:
-            joint_parts[key] = join(parts[a], parts[b])
-        return joint_parts[key]
+        return join(parts[a], parts[b])
 
     base_cache: dict[frozenset, float] = {}
 

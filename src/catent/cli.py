@@ -10,9 +10,8 @@ when the path is ``-``.
 """
 
 import argparse
-import itertools
 import sys
-from functools import reduce
+from functools import partial, reduce
 from pathlib import Path
 
 from .algebra import check_contractivity, check_monoid_laws, joint
@@ -28,10 +27,10 @@ from .entropy import (
 )
 from .ingest import CsvSpec, IngestError, load_csv, save_csv, save_matrix
 from .metric import (
-    EXHAUSTIVE_LIMIT,
     check_distance_axioms,
     check_similarity_axioms,
     distance_matrix,
+    instances,
     merge_reports,
     nondiscreteness_demo,
 )
@@ -217,28 +216,26 @@ def _finish_checks(reports, failures) -> int:
     return 1
 
 
-def _cmd_check_metric(args) -> int:
-    reports, failures = [], []
-    for tag, dataset in _datasets_under_test(args):
-        sim = check_similarity_axioms(dataset, triples=args.triples, seed=args.seed)
-        dist = check_distance_axioms(
-            distance_matrix(dataset), canonical_classes(dataset),
-            triples=args.triples, seed=args.seed,
-        )
-        reports.extend((sim, dist))
-        failures.extend((tag, c) for c in sim.failures() + dist.failures())
-    return _finish_checks(reports, failures)
+def _metric_reports(dataset, args):
+    yield check_similarity_axioms(dataset, triples=args.triples, seed=args.seed)
+    yield check_distance_axioms(
+        distance_matrix(dataset), canonical_classes(dataset),
+        triples=args.triples, seed=args.seed,
+    )
 
 
-def _cmd_check_monoid(args) -> int:
+def _monoid_reports(dataset, args):
+    yield check_monoid_laws(dataset, triples=args.triples, seed=args.seed)
+    yield check_contractivity(dataset, quadruples=args.quadruples, seed=args.seed)
+
+
+def _cmd_check(validators, args) -> int:
+    """Run a command's validators on every dataset under test."""
     reports, failures = [], []
     for tag, dataset in _datasets_under_test(args):
-        laws = check_monoid_laws(dataset, triples=args.triples, seed=args.seed)
-        contract = check_contractivity(
-            dataset, quadruples=args.quadruples, seed=args.seed
-        )
-        reports.extend((laws, contract))
-        failures.extend((tag, c) for c in laws.failures() + contract.failures())
+        for report in validators(dataset, args):
+            reports.append(report)
+            failures.extend((tag, c) for c in report.failures())
     return _finish_checks(reports, failures)
 
 
@@ -248,13 +245,7 @@ def _cmd_check_lemma2(args) -> int:
     for tag, dataset in _datasets_under_test(args):
         names = dataset.names
         parts = {nm: induced_partition(dataset[nm], dataset) for nm in names}
-        if args.triples is None and len(names) <= EXHAUSTIVE_LIMIT:
-            triple_list = list(itertools.product(names, repeat=3))
-        else:
-            from .metric import _sample_triples
-
-            triple_list = _sample_triples(names, args.triples or 1000, args.seed)
-        for nx, ny, nz in triple_list:
+        for nx, ny, nz in instances(names, 3, args.triples, args.seed):
             report = check_conditional_entropy_laws(parts[nx], parts[ny], parts[nz])
             for clause in report.clauses:
                 tally = totals.setdefault(clause.name, [0, 0, 0])
@@ -335,34 +326,24 @@ def _build_parser() -> argparse.ArgumentParser:
     add_io(p)
     p.set_defaults(func=_cmd_classes)
 
-    p = sub.add_parser("check-metric",
-                       help="validate similarity conditions and metric axioms")
-    add_io(p, with_data=False)
-    p.add_argument("data", nargs="?", default=None, help="CSV path, or - for stdin")
-    _add_random_options(p)
-    p.add_argument("--triples", type=int, default=None,
-                   help="sample size for triple-based checks (default: exhaustive)")
-    p.set_defaults(func=_cmd_check_metric)
-
-    p = sub.add_parser("check-monoid",
-                       help="validate monoid laws and contractivity of the joint")
-    add_io(p, with_data=False)
-    p.add_argument("data", nargs="?", default=None, help="CSV path, or - for stdin")
-    _add_random_options(p)
-    p.add_argument("--triples", type=int, default=None,
-                   help="sample size for law triples (default: exhaustive)")
-    p.add_argument("--quadruples", type=int, default=None,
-                   help="sample size for contractivity (default: exhaustive)")
-    p.set_defaults(func=_cmd_check_monoid)
-
-    p = sub.add_parser("check-lemma2",
-                       help="validate the conditional-entropy laws on column triples")
-    add_io(p, with_data=False)
-    p.add_argument("data", nargs="?", default=None, help="CSV path, or - for stdin")
-    _add_random_options(p)
-    p.add_argument("--triples", type=int, default=None,
-                   help="sample size for triples (default: exhaustive)")
-    p.set_defaults(func=_cmd_check_lemma2)
+    for command, help_text, func in (
+        ("check-metric", "validate similarity conditions and metric axioms",
+         partial(_cmd_check, _metric_reports)),
+        ("check-monoid", "validate monoid laws and contractivity of the joint",
+         partial(_cmd_check, _monoid_reports)),
+        ("check-lemma2", "validate the conditional-entropy laws on column triples",
+         _cmd_check_lemma2),
+    ):
+        p = sub.add_parser(command, help=help_text)
+        add_io(p, with_data=False)
+        p.add_argument("data", nargs="?", default=None, help="CSV path, or - for stdin")
+        _add_random_options(p)
+        p.add_argument("--triples", type=int, default=None,
+                       help="sample size for triples (default: exhaustive)")
+        p.set_defaults(func=func)
+    sub.choices["check-monoid"].add_argument(
+        "--quadruples", type=int, default=None,
+        help="sample size for contractivity (default: exhaustive)")
 
     p = sub.add_parser("demo-nondiscrete",
                        help="show distinct columns at vanishing distance")
@@ -385,19 +366,10 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except _Usage as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except KeyError as exc:
         print(f"error: unknown column {exc.args[0]!r}", file=sys.stderr)
         return 2
-    except (IngestError, StructuralError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (_Usage, IngestError, StructuralError, ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

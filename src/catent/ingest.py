@@ -94,10 +94,19 @@ def load_csv(source: Source, spec: CsvSpec = CsvSpec()) -> Dataset:
             stream.close()
 
 
+def _records(reader):
+    # the csv module's own errors (such as an over-long field) are bad input
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from exc
+
+
 def _parse_csv(stream: TextIO, spec: CsvSpec) -> Dataset:
     reader = csv.reader(stream, delimiter=spec.delimiter)
+    records = _records(reader)
     try:
-        header = next(reader)
+        header = next(records)
     except StopIteration:
         raise EmptyDatasetError("input has no header row") from None
 
@@ -109,7 +118,7 @@ def _parse_csv(stream: TextIO, spec: CsvSpec) -> Dataset:
         raise NameCollisionError(f"duplicate column names: {dupes}")
 
     rows: list[list[str]] = []
-    for record in reader:
+    for record in records:
         if len(record) != len(names):
             raise ParseError(
                 f"expected {len(names)} fields, got {len(record)}",
@@ -210,7 +219,13 @@ def save_matrix(
 
 
 def load_matrix(source: Source, fmt: str = "tsv") -> DistanceMatrix:
-    """Read a distance matrix written by ``save_matrix``."""
+    """Read a distance matrix written by ``save_matrix``.
+
+    TSV row labels must repeat the header's names in the same order, and
+    every cell must be a number; anything else raises ``ParseError``.
+    The values themselves are not validated: ``check_distance_axioms``
+    reports asymmetry and the other axioms.
+    """
     if fmt not in MATRIX_FORMATS:
         raise ParseError(f"unknown matrix format {fmt!r}; expected one of {MATRIX_FORMATS}")
     stream, needs_close = _open_source(source)
@@ -219,23 +234,22 @@ def load_matrix(source: Source, fmt: str = "tsv") -> DistanceMatrix:
     finally:
         if needs_close:
             stream.close()
-    if fmt == "json":
-        payload = json.loads(text)
-        try:
+    try:
+        if fmt == "json":
+            payload = json.loads(text)
             names = tuple(payload["names"])
             values = np.array(payload["values"], dtype=float)
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"malformed matrix JSON: {exc}") from exc
-    else:
-        lines = [ln for ln in text.splitlines() if ln]
-        if not lines:
-            raise ParseError("matrix TSV is empty")
-        names = tuple(lines[0].split("\t")[1:])
-        body = []
-        for ln in lines[1:]:
-            fields = ln.split("\t")
-            body.append([float(f) for f in fields[1:]])
-        values = np.array(body, dtype=float)
+        else:
+            lines = [ln.split("\t") for ln in text.splitlines() if ln]
+            if not lines:
+                raise ParseError("matrix TSV is empty")
+            names = tuple(lines[0][1:])
+            labels = tuple(fields[0] for fields in lines[1:])
+            if labels != names:
+                raise ParseError(f"matrix row labels {labels} do not match the header {names}")
+            values = np.array([[float(f) for f in fields[1:]] for fields in lines[1:]])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed matrix {fmt.upper()}: {exc}") from exc
     if values.shape != (len(names), len(names)):
         raise ParseError("matrix body does not match its name list")
     return DistanceMatrix(names, values)

@@ -17,6 +17,12 @@ faithfully either way.  (Contractivity of the joint operation, proved
 independently of the triangle inequality, is unaffected: see
 ``catent.algebra``.)
 
+Every validator checks ordered tuples of column names, enumerated by
+``instances``: with no sample size given and at most ``EXHAUSTIVE_LIMIT``
+(8) names, every ordered tuple; otherwise N >= 1 seeded SplitMix64 draws
+(default ``DEFAULT_SAMPLES``, 1000).  A sample size below 1 raises
+``ValueError``.
+
 Reports use a uniform slack convention: every instance of an axiom is
 reduced to a margin that must stay nonnegative (inequalities:
 ``rhs - lhs``; equalities: ``-|a - b|``), the worst (smallest) margin
@@ -25,6 +31,7 @@ clears the tolerance.  A failed check therefore always carries a
 concrete witness reproducing the violation.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -43,7 +50,7 @@ from .model import (
 from .entropy import TOLERANCE, symmetric_uncertainty
 from .randgen import SplitMix64
 
-# past this many columns, exhaustive triple enumeration gives way to sampling
+# past this many columns, exhaustive enumeration of instances gives way to sampling
 EXHAUSTIVE_LIMIT = 8
 DEFAULT_SAMPLES = 1000
 
@@ -223,14 +230,24 @@ def merge_reports(reports: Iterable[AxiomReport]) -> AxiomReport:
     return AxiomReport(tuple(merged[name] for name in order))
 
 
-def _sample_triples(
-    names: Sequence[str], count: int, seed: int
-) -> list[tuple[str, str, str]]:
+def instances(
+    names: Sequence[str], width: int, sample: int | None = None, seed: int = 0
+) -> list[tuple[str, ...]]:
+    """The ordered ``width``-tuples of ``names`` that a validator checks.
+
+    With ``sample=None`` and at most ``EXHAUSTIVE_LIMIT`` names, every
+    ordered tuple; otherwise ``sample`` (default ``DEFAULT_SAMPLES``)
+    tuples, each of ``width`` consecutive ``SplitMix64(seed)`` draws.
+    Raises ``ValueError`` when ``sample`` is below 1.
+    """
+    if sample is None:
+        if len(names) <= EXHAUSTIVE_LIMIT:
+            return list(itertools.product(names, repeat=width))
+        sample = DEFAULT_SAMPLES
+    if sample < 1:
+        raise ValueError(f"sample size must be at least 1, got {sample}")
     rng = SplitMix64(seed)
-    return [
-        (rng.choice(names), rng.choice(names), rng.choice(names))
-        for _ in range(count)
-    ]
+    return [tuple(rng.choice(names) for _ in range(width)) for _ in range(sample)]
 
 
 # ---------------------------------------------------------------------------
@@ -257,32 +274,22 @@ def check_similarity_axioms(
     genuine property of the data and fails on some datasets (see the
     module docstring), in which case the report carries the witness.
 
-    With ``triples=None`` and at most ``EXHAUSTIVE_LIMIT`` columns the
-    triple set is exhaustive (all ordered triples); otherwise
-    ``triples`` (default 1000) seeded samples are drawn.  Pair-based
-    conditions run over the pairs occurring in the triple set plus all
-    self-pairs.
+    The triple set is ``instances(names, 3, triples, seed)``.
+    Pair-based conditions run over the pairs occurring in the triple
+    set plus all self-pairs.
     """
     names = list(dataset.names)
     parts = {nm: induced_partition(dataset[nm], dataset) for nm in names}
     classes = canonical_classes(dataset)
 
-    if triples is None and len(names) <= EXHAUSTIVE_LIMIT:
-        triple_list = list(itertools.product(names, repeat=3))
-        pair_list = list(itertools.product(names, repeat=2))
-    else:
-        triple_list = _sample_triples(names, triples or DEFAULT_SAMPLES, seed)
-        seen = {(a, b) for x, y, z in triple_list for a, b in ((x, y), (y, z), (x, z))}
-        seen.update((nm, nm) for nm in names)
-        pair_list = sorted(seen)
+    triple_list = instances(names, 3, triples, seed)
+    seen = {(a, b) for x, y, z in triple_list for a, b in ((x, y), (y, z), (x, z))}
+    seen.update((nm, nm) for nm in names)
+    pair_list = sorted(seen)
 
-    su_cache: dict[tuple[str, str], float] = {}
-
+    @functools.cache  # keyed by the ordered pair: symmetry compares two computations
     def su(a: str, b: str) -> float:
-        key = (a, b)
-        if key not in su_cache:
-            su_cache[key] = symmetric_uncertainty(parts[a], parts[b])
-        return su_cache[key]
+        return symmetric_uncertainty(parts[a], parts[b])
 
     g_symmetry = _Gauge("symmetry")
     g_self_nonneg = _Gauge("self_similarity_nonnegative")
@@ -341,8 +348,8 @@ def check_distance_axioms(
 
     ``class_keys`` maps each matrix column to its canonical class (see
     ``catent.model.canonical_classes``); zero distance must occur
-    exactly on equal classes.  Triangle triples are exhaustive up to
-    ``EXHAUSTIVE_LIMIT`` names, sampled (seeded) beyond that.
+    exactly on equal classes.  Triangle triples are
+    ``instances(names, 3, triples, seed)``.
     """
     names = matrix.names
     missing = [nm for nm in names if nm not in class_keys]
@@ -370,11 +377,7 @@ def check_distance_axioms(
             else:
                 g_zero_only.add(v, (a, b), lhs=v, rhs=0.0)
 
-    if triples is None and len(names) <= EXHAUSTIVE_LIMIT:
-        triple_list = list(itertools.product(names, repeat=3))
-    else:
-        triple_list = _sample_triples(names, triples or DEFAULT_SAMPLES, seed)
-    for x, y, z in triple_list:
+    for x, y, z in instances(names, 3, triples, seed):
         lhs = d(x, z)
         rhs = d(x, y) + d(y, z)
         g_triangle.add(rhs - lhs, (x, y, z), lhs=lhs, rhs=rhs)

@@ -57,6 +57,14 @@ class TestSu:
         assert code == 2
         assert "unknown column" in err
 
+    def test_oversized_field_is_bad_input(self, capsys, tmp_path):
+        p = tmp_path / "wide_field.csv"
+        p.write_text("a,b\n" + "x" * 200_000 + ",y\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "su", str(p), "a", "b")
+        assert code == 2
+        assert out == ""
+        assert "field larger than field limit" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "su", "/no/such/file.csv", "a", "b")
         assert code == 2
@@ -195,6 +203,22 @@ class TestClasses:
         assert len(lines) == 1
         assert lines[0].startswith("0: digits letters")
         assert "[profile 1/2,2/5,1/10]" in lines[0]
+
+
+class TestSampleSize:
+    @pytest.mark.parametrize("command", ["check-metric", "check-monoid", "check-lemma2"])
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_triples_below_one_is_a_usage_error(self, capsys, command, size):
+        code, out, err = run_cli(capsys, command, FIXTURE, "--triples", size)
+        assert code == 2
+        assert out == ""
+        assert "at least 1" in err
+
+    def test_quadruples_below_one_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "check-monoid", FIXTURE, "--quadruples", "-3")
+        assert code == 2
+        assert out == ""
+        assert "at least 1" in err
 
 
 class TestCheckMetric:

@@ -79,6 +79,13 @@ class TestLoadCsv:
         with pytest.raises(NameCollisionError):
             csv_dataset("café,café\nx,y\n")
 
+    def test_oversized_field_is_a_parse_error(self):
+        # one field past the csv module's 128 KiB limit, on the second line
+        with pytest.raises(ParseError) as err:
+            csv_dataset("a,b\n" + "x" * 200_000 + ",y\n")
+        assert err.value.line == 2
+        assert "field larger than field limit" in str(err.value)
+
     def test_ragged_row_reports_line_number(self):
         with pytest.raises(ParseError) as err:
             csv_dataset("a,b\nx,p\nonlyone\n")
@@ -187,6 +194,30 @@ class TestMatrixIO:
             load_matrix(io.StringIO("\ta\tb\na\t0.0\t1.0\n"), fmt="tsv")
         with pytest.raises(ParseError):
             load_matrix(io.StringIO('{"names": ["a"]}'), fmt="json")
+
+    def test_row_labels_must_follow_the_header(self):
+        for text in (
+            "\ta\tb\nb\t0\t0.25\nzzz\t0.5\t0\n",  # unknown label
+            "\ta\tb\nb\t0.25\t0\na\t0\t0.25\n",  # header names, other order
+        ):
+            with pytest.raises(ParseError, match="row labels"):
+                load_matrix(io.StringIO(text), fmt="tsv")
+
+    @pytest.mark.parametrize("text, fmt", [
+        ("\ta\tb\na\t0\tx\nb\t0.5\t0\n", "tsv"),
+        ('{"names": ["a", "b"], "values": [[0, "x"], [0.5, 0]]}', "json"),
+        ("\ta\tb\na\t0\t0.5\nb\t0.5\n", "tsv"),  # ragged body
+        ('{"names": ["a"], "values": [[0]]', "json"),  # truncated JSON
+    ])
+    def test_non_numeric_or_unparsable_body_is_a_parse_error(self, text, fmt):
+        with pytest.raises(ParseError):
+            load_matrix(io.StringIO(text), fmt=fmt)
+
+    def test_asymmetric_values_still_load(self):
+        # reporting asymmetry is check_distance_axioms's job, not the loader's
+        m = load_matrix(io.StringIO("\ta\tb\na\t0\t0.25\nb\t0.5\t0\n"), fmt="tsv")
+        assert m.names == ("a", "b")
+        assert (m.value("a", "b"), m.value("b", "a")) == (0.25, 0.5)
 
     def test_matrix_shape_guard(self):
         with pytest.raises(ValueError):

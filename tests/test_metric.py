@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from catent.algebra import check_contractivity, check_monoid_laws
 from catent.entropy import TOLERANCE
 from catent.metric import (
     DistanceMatrix,
     check_distance_axioms,
     check_similarity_axioms,
     distance_matrix,
+    instances,
     merge_reports,
     nondiscreteness_demo,
     partition_distance,
@@ -289,3 +291,40 @@ class TestNondiscreteness:
         seq = nondiscreteness_demo(steps=5)
         eps = [e for e, _ in seq]
         assert eps == [0.25, 0.125, 0.0625, 0.03125, 0.015625]
+
+
+class TestInstances:
+    def test_exhaustive_up_to_eight_names(self):
+        names = tuple(f"c{i}" for i in range(8))
+        assert instances(names, 3) == list(itertools.product(names, repeat=3))
+        assert len(instances(names, 2)) == 64
+
+    def test_sampled_past_eight_names_or_when_a_size_is_given(self):
+        assert len(instances(tuple(f"c{i}" for i in range(9)), 3)) == 1000
+        assert len(instances(("a", "b"), 4, sample=5)) == 5
+
+    def test_sampled_stream_is_pinned(self, internship):
+        # recorded draws of SplitMix64: a changed draw order must show here
+        wide = instances(tuple(f"c{i}" for i in range(10)), 3, None, 0)
+        assert wide[:3] == [("c5", "c0", "c9"), ("c4", "c7", "c0"), ("c3", "c0", "c9")]
+        # the parity violation that the ten-column benchmark tables rely on
+        assert wide[71] == ("c2", "c0", "c7")
+        assert instances(internship.names, 4, 64, 3)[:2] == [
+            ("IQuotient", "IQuotient", "IQuotient", "GotHired"),
+            ("Neatness", "Creativity", "Neatness", "AttentionType"),
+        ]
+
+    @pytest.mark.parametrize("sample", [0, -1])
+    def test_sample_below_one_rejected(self, sample):
+        with pytest.raises(ValueError, match="at least 1"):
+            instances(("a", "b"), 3, sample)
+
+    @pytest.mark.parametrize("validator", [
+        lambda ds: check_similarity_axioms(ds, triples=0),
+        lambda ds: check_distance_axioms(distance_matrix(ds), canonical_classes(ds), triples=0),
+        lambda ds: check_monoid_laws(ds, triples=0),
+        lambda ds: check_contractivity(ds, quadruples=0),
+    ], ids=["similarity", "distance", "monoid", "contractivity"])
+    def test_validators_reject_sample_size_zero(self, internship, validator):
+        with pytest.raises(ValueError, match="at least 1"):
+            validator(internship)
