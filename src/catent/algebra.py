@@ -55,7 +55,7 @@ def are_indiscernible(
     a: CategoricalVariable, b: CategoricalVariable, dataset: Dataset
 ) -> bool:
     """True iff the two columns induce the same partition of the rows."""
-    return canonicalize(a, dataset) == canonicalize(b, dataset)
+    return induced_partition(a, dataset) == induced_partition(b, dataset)
 
 
 def relabel(

@@ -3,9 +3,10 @@
 Everything here takes ``Partition`` values (build them with
 ``catent.model.induced_partition``), so a quantity like the conditional
 entropy of one column given another is literally a sum over block
-intersections.  Block probabilities stay exact ``Fraction`` values until
-the moment a logarithm is taken; sums of float terms go through
-``math.fsum`` so identities hold to near machine precision.
+intersections.  Block masses stay exact integer counts until the moment
+a logarithm is taken; a ratio of two counts is then one correctly
+rounded division, the float of the exact ratio.  Sums of float terms go
+through ``math.fsum`` so identities hold to near machine precision.
 
 Conventions:
 
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 from .model import (
     CatentError,
     Partition,
+    cell_counts,
     ensure_same_universe,
     is_coarser,
     join,
@@ -48,26 +50,20 @@ def _clamp(value: float) -> float:
 
 def entropy(p: Partition) -> Bits:
     """Shannon entropy of a partition: ``-sum P(B) log2 P(B)``."""
-    return _clamp(
-        -math.fsum(float(q) * math.log2(float(q)) for q in p.block_probs)
-    )
+    scale = p.scale
+    return _clamp(-math.fsum(c / scale * math.log2(c / scale) for c in p.counts))
 
 
 def conditional_entropy(x: Partition, y: Partition) -> Bits:
     """Entropy of ``x`` remaining after ``y`` is known.
 
-    Computed as ``-sum_{Q,R} P(Q & R) log2(P(Q & R) / P(R))`` over block
-    pairs; the ratio is formed exactly before conversion to float.
+    Computed from the contingency cell counts as
+    ``-sum_{Q,R} n(Q & R)/D log2(n(Q & R) / n(R))`` over the nonempty
+    block intersections, never as ``H(x v y) - H(y)``, so the chain rule
+    and ``cross_check`` compare two independent routes.
     """
-    ensure_same_universe(x, y)
-    weights = x.row_weights
-    terms = []
-    for r_block, r_prob in zip(y.blocks, y.block_probs):
-        for q_block in x.blocks:
-            inter = q_block & r_block
-            if inter:
-                mass = sum(weights[i] for i in inter)
-                terms.append(float(mass) * math.log2(float(mass / r_prob)))
+    cells, scale, marginal = cell_counts(x, y), x.scale, y.counts
+    terms = (n / scale * math.log2(n / marginal[j]) for (_, j), n in cells.items())
     return _clamp(-math.fsum(terms))
 
 

@@ -124,10 +124,9 @@ def _parse_csv(stream: TextIO, spec: CsvSpec) -> Dataset:
                 f"expected {len(names)} fields, got {len(record)}",
                 line=reader.line_num,
             )
-        cells = [unicodedata.normalize("NFC", c) for c in record]
-        if spec.na_policy == "drop-row" and any(c == "" for c in cells):
+        if spec.na_policy == "drop-row" and "" in record:
             continue
-        rows.append([c if c != "" else NA_LABEL for c in cells])
+        rows.append([c if c != "" else NA_LABEL for c in record])
 
     if not rows:
         raise EmptyDatasetError("input has no data rows")
@@ -221,8 +220,9 @@ def save_matrix(
 def load_matrix(source: Source, fmt: str = "tsv") -> DistanceMatrix:
     """Read a distance matrix written by ``save_matrix``.
 
-    TSV row labels must repeat the header's names in the same order, and
-    every cell must be a number; anything else raises ``ParseError``.
+    Names must be distinct strings, TSV row labels must repeat the
+    header's names in the same order, and every cell must be a number
+    (a number literal in JSON); anything else raises ``ParseError``.
     The values themselves are not validated: ``check_distance_axioms``
     reports asymmetry and the other axioms.
     """
@@ -237,8 +237,12 @@ def load_matrix(source: Source, fmt: str = "tsv") -> DistanceMatrix:
     try:
         if fmt == "json":
             payload = json.loads(text)
-            names = tuple(payload["names"])
-            values = np.array(payload["values"], dtype=float)
+            names, rows = payload["names"], payload["values"]
+            if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+                raise ParseError("matrix names must be a list of strings")
+            if any(type(v) not in (int, float) for row in rows for v in row):
+                raise ParseError("matrix cells must be numbers")
+            names, values = tuple(names), np.array(rows, dtype=float)
         else:
             lines = [ln.split("\t") for ln in text.splitlines() if ln]
             if not lines:
@@ -250,6 +254,8 @@ def load_matrix(source: Source, fmt: str = "tsv") -> DistanceMatrix:
             values = np.array([[float(f) for f in fields[1:]] for fields in lines[1:]])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed matrix {fmt.upper()}: {exc}") from exc
+    if len(set(names)) != len(names):
+        raise ParseError(f"duplicate matrix names in {names}")
     if values.shape != (len(names), len(names)):
         raise ParseError("matrix body does not match its name list")
     return DistanceMatrix(names, values)

@@ -5,13 +5,20 @@ categorical columns.  Every column induces a partition of the row
 indices via inverse images of its labels, and all information-theoretic
 structure downstream is computed from partitions, never from labels.
 
-Probabilities at this layer are exact ``fractions.Fraction`` values, so
-partition equality, coarseness, and canonical representatives are exact
-discrete facts with no floating-point ambiguity.  Floats enter only when
-logarithms are taken (see ``catent.entropy``).
+The engine counts in integers: a dataset turns its ``Fraction`` row
+weights once into integer multiplicities over their common denominator,
+and a partition is one block code per row plus an integer mass per
+block.  Partition equality, coarseness, joins, contingency cells and
+canonical representatives are therefore exact discrete facts with no
+floating-point ambiguity.  Exact ``Fraction`` values remain at the API
+(``row_weights``, ``Partition.block_probs``, ``ContingencyTable``,
+``CanonicalClass``).  Floats enter only when logarithms are taken (see
+``catent.entropy``).
 """
 
+import math
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -35,6 +42,24 @@ def _nfc(label: Label) -> Label:
     return unicodedata.normalize("NFC", label) if isinstance(label, str) else label
 
 
+def _integer_weights(weights: tuple[Fraction, ...]) -> tuple[int, tuple[int, ...] | None]:
+    # (D, m) with weight i = m[i] / D and D the least common denominator;
+    # m is None when every m[i] is 1, so uniform rows need no per-row work
+    scale = math.lcm(*(w.denominator for w in weights))
+    mult = tuple(w.numerator * (scale // w.denominator) for w in weights)
+    return scale, None if mult.count(1) == len(mult) else mult
+
+
+def _tally(keys: Iterable[Hashable], multiplicities: tuple[int, ...] | None) -> dict:
+    # integer mass of every distinct key, in first-occurrence order
+    if multiplicities is None:
+        return Counter(keys)
+    masses: Counter = Counter()
+    for key, m in zip(keys, multiplicities):
+        masses[key] += m
+    return masses
+
+
 @dataclass(frozen=True)
 class CategoricalVariable:
     """A named column: one category label per row.
@@ -47,11 +72,13 @@ class CategoricalVariable:
     labels: tuple[Label, ...]
 
     def __post_init__(self):
-        if not isinstance(self.labels, tuple):
-            object.__setattr__(self, "labels", tuple(self.labels))
-        if not self.labels:
+        labels = tuple(self.labels)
+        if not labels:
             raise StructuralError(f"variable {self.name!r} has no rows")
-        object.__setattr__(self, "labels", tuple(_nfc(l) for l in self.labels))
+        # normalise each distinct label once; rewrite the rows only if one changes
+        if any(lab != _nfc(lab) for lab in dict.fromkeys(labels)):
+            labels = tuple(map(_nfc, labels))
+        object.__setattr__(self, "labels", labels)
 
     @classmethod
     def from_labels(cls, name: str, labels: Iterable[Label]) -> "CategoricalVariable":
@@ -61,6 +88,12 @@ class CategoricalVariable:
     def alphabet(self) -> tuple[Label, ...]:
         """Distinct labels in first-occurrence order."""
         return tuple(dict.fromkeys(self.labels))
+
+    @cached_property
+    def codes(self) -> tuple[int, ...]:
+        """Position of each row's label in ``alphabet``."""
+        index = {lab: i for i, lab in enumerate(self.alphabet)}
+        return tuple(map(index.__getitem__, self.labels))
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -89,21 +122,27 @@ class Dataset:
 
     Row weights are positive ``Fraction`` values summing to one.  All
     columns must have exactly one label per row.  ``from_columns`` is
-    the usual entry point; it defaults to uniform weights.
+    the usual entry point; it defaults to uniform weights.  Row ``i``
+    weighs ``multiplicities[i] / scale``, with ``scale`` the common
+    denominator; ``multiplicities`` is ``None`` when all rows weigh
+    ``1 / scale``.
     """
 
     columns: Mapping[str, CategoricalVariable]
     row_weights: tuple[Fraction, ...]
+    scale: int = field(init=False, repr=False, compare=False)
+    multiplicities: tuple[int, ...] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.row_weights:
             raise StructuralError("dataset has no rows")
-        weights = tuple(Fraction(w) for w in self.row_weights)
-        if any(w <= 0 for w in weights):
+        weights = tuple(w if isinstance(w, Fraction) else Fraction(w) for w in self.row_weights)
+        scale, mult = _integer_weights(weights)
+        if mult is not None and min(mult) <= 0:
             raise StructuralError("row weights must be positive")
-        if sum(weights) != 1:
+        if (len(weights) if mult is None else sum(mult)) != scale:
             raise StructuralError("row weights must sum to 1")
-        object.__setattr__(self, "row_weights", weights)
+        vars(self).update(row_weights=weights, scale=scale, multiplicities=mult)
         cols = dict(self.columns)
         for name, var in cols.items():
             if not isinstance(var, CategoricalVariable):
@@ -143,10 +182,8 @@ class Dataset:
         if not vars_:
             raise StructuralError("dataset needs at least one column")
         n = len(next(iter(vars_.values())))
-        if row_weights is None:
-            weights = (Fraction(1, n),) * n
-        else:
-            weights = tuple(Fraction(w) for w in row_weights)
+        # the constructor turns the weights into Fractions and validates them
+        weights = (Fraction(1, n),) * n if row_weights is None else tuple(row_weights)
         return cls(vars_, weights)
 
     @property
@@ -170,38 +207,52 @@ class Dataset:
         return Dataset(cols, self.row_weights)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Partition:
     """Disjoint nonempty blocks of row indices covering the sample space.
 
-    Blocks are stored sorted by their smallest row index, each with its
-    exact probability mass.  The row weights travel with the partition
-    so that two partitions compare equal only when they carve up the
-    same weighted universe the same way.
+    Blocks are numbered in the order of their smallest row index:
+    ``codes[r]`` is the number of row r's block and ``counts[b]`` the
+    exact mass of block b over ``scale``, the common denominator of the
+    row weights.  ``blocks`` and ``block_probs`` are derived views.  The
+    row weights travel with the partition so that two partitions compare
+    equal only when they carve up the same weighted universe the same
+    way.  ``Partition(blocks, block_probs, row_weights)`` validates its
+    arguments; the kernels build partitions from codes directly.
     """
 
-    blocks: tuple[frozenset[int], ...]
-    block_probs: tuple[Fraction, ...]
-    row_weights: tuple[Fraction, ...]
+    codes: tuple[int, ...]
+    counts: tuple[int, ...] = field(compare=False)
+    scale: int = field(compare=False)
+    row_weights: tuple[Fraction, ...] = field(repr=False)
+    multiplicities: tuple[int, ...] | None = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        n = len(self.row_weights)
-        if not self.blocks:
+    def __init__(self, blocks, block_probs, row_weights):
+        blocks, weights = tuple(blocks), tuple(Fraction(w) for w in row_weights)
+        n = len(weights)
+        if not blocks:
             raise StructuralError("partition has no blocks")
-        if any(not b for b in self.blocks):
+        if any(not b for b in blocks):
             raise StructuralError("partition blocks must be nonempty")
-        total = sum(len(b) for b in self.blocks)
-        covered = frozenset().union(*self.blocks)
+        total = sum(len(b) for b in blocks)
+        covered = frozenset().union(*blocks)
         if total != n or covered != frozenset(range(n)):
             raise StructuralError("blocks must exactly cover the row indices")
-        mins = [min(b) for b in self.blocks]
+        mins = [min(b) for b in blocks]
         if mins != sorted(mins):
             raise StructuralError("blocks must be ordered by smallest row index")
-        if len(self.block_probs) != len(self.blocks):
+        if len(block_probs) != len(blocks):
             raise StructuralError("one probability per block required")
-        for b, p in zip(self.blocks, self.block_probs):
-            if sum(self.row_weights[i] for i in b) != p:
-                raise StructuralError("block probability does not match row weights")
+        owner = {r: b for b, block in enumerate(blocks) for r in block}
+        self._fill(tuple(map(owner.__getitem__, range(n))), weights, *_integer_weights(weights))
+        if self.block_probs != tuple(block_probs):
+            raise StructuralError("block probability does not match row weights")
+
+    def _fill(self, codes, row_weights, scale, multiplicities, counts=None):
+        if counts is None:
+            counts = tuple(_tally(codes, multiplicities).values())
+        vars(self).update(codes=codes, counts=counts, scale=scale,
+                          row_weights=row_weights, multiplicities=multiplicities)
 
     @classmethod
     def from_blocks(
@@ -214,13 +265,31 @@ class Partition:
         probs = tuple(sum(weights[i] for i in b) for b in ordered)
         return cls(ordered, probs, weights)
 
+    @cached_property
+    def blocks(self) -> tuple[frozenset[int], ...]:
+        rows: list[list[int]] = [[] for _ in self.counts]
+        for r, b in enumerate(self.codes):
+            rows[b].append(r)
+        return tuple(map(frozenset, rows))
+
+    @cached_property
+    def block_probs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.scale) for c in self.counts)
+
     @property
     def n_blocks(self) -> int:
-        return len(self.blocks)
+        return len(self.counts)
 
     @property
     def universe_size(self) -> int:
-        return len(self.row_weights)
+        return len(self.codes)
+
+
+def _on_rows(codes: tuple[int, ...], rows, counts=None) -> Partition:
+    # first-occurrence block codes on the weighted rows of a Dataset or Partition
+    p = object.__new__(Partition)
+    p._fill(codes, rows.row_weights, rows.scale, rows.multiplicities, counts)
+    return p
 
 
 @dataclass(frozen=True)
@@ -284,15 +353,12 @@ def induced_partition(var: CategoricalVariable, dataset: Dataset) -> Partition:
         raise StructuralError(
             f"variable {var.name!r} has {len(var)} rows, dataset has {dataset.row_count}"
         )
-    groups: dict[Label, list[int]] = {}
-    for i, lab in enumerate(var.labels):
-        groups.setdefault(lab, []).append(i)
-    return Partition.from_blocks(groups.values(), dataset.row_weights)
+    return _on_rows(var.codes, dataset)
 
 
 def trivial_partition(dataset: Dataset) -> Partition:
     """The one-block partition: the whole sample space, probability one."""
-    return Partition.from_blocks([range(dataset.row_count)], dataset.row_weights)
+    return _on_rows((0,) * dataset.row_count, dataset)
 
 
 def ensure_same_universe(p: Partition, q: Partition) -> None:
@@ -301,57 +367,48 @@ def ensure_same_universe(p: Partition, q: Partition) -> None:
         raise StructuralError("partitions live on different row universes")
 
 
-def _block_index(p: Partition) -> list[int]:
-    # row index -> position of its block in p.blocks
-    idx = [0] * p.universe_size
-    for bi, block in enumerate(p.blocks):
-        for r in block:
-            idx[r] = bi
-    return idx
+def cell_counts(p: Partition, q: Partition) -> dict[tuple[int, int], int]:
+    """Integer mass, over the common ``scale``, of every nonempty
+    intersection of a block of ``p`` with a block of ``q``, keyed by the
+    pair of block numbers in first-occurrence order."""
+    ensure_same_universe(p, q)
+    return _tally(zip(p.codes, q.codes), p.multiplicities)
 
 
 def join(p: Partition, q: Partition) -> Partition:
     """Coarsest common refinement: blocks are the nonempty pairwise
     intersections of blocks of ``p`` and ``q``."""
-    ensure_same_universe(p, q)
-    pi, qi = _block_index(p), _block_index(q)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for r in range(p.universe_size):
-        groups.setdefault((pi[r], qi[r]), []).append(r)
-    return Partition.from_blocks(groups.values(), p.row_weights)
+    cells = cell_counts(p, q)
+    index = {pair: i for i, pair in enumerate(cells)}
+    codes = tuple(map(index.__getitem__, zip(p.codes, q.codes)))
+    return _on_rows(codes, p, tuple(cells.values()))
 
 
 def is_coarser(p: Partition, q: Partition) -> bool:
     """True iff every block of ``q`` sits inside a single block of ``p``
     (so ``p`` is coarser than or equal to ``q``)."""
     ensure_same_universe(p, q)
-    pi = _block_index(p)
-    return all(len({pi[r] for r in block}) == 1 for block in q.blocks)
+    return len(set(zip(q.codes, p.codes))) == q.n_blocks
 
 
 def contingency(
     x: CategoricalVariable, y: CategoricalVariable, dataset: Dataset
 ) -> ContingencyTable:
     """Exact joint mass table of two variables over the dataset."""
-    if len(x) != dataset.row_count or len(y) != dataset.row_count:
-        raise StructuralError("variables must have one label per dataset row")
-    rows, cols = x.alphabet, y.alphabet
-    ri = {lab: i for i, lab in enumerate(rows)}
-    ci = {lab: j for j, lab in enumerate(cols)}
-    grid = [[Fraction(0)] * len(cols) for _ in rows]
-    for r, w in enumerate(dataset.row_weights):
-        grid[ri[x.labels[r]]][ci[y.labels[r]]] += w
-    return ContingencyTable(rows, cols, tuple(tuple(row) for row in grid))
+    cells = cell_counts(induced_partition(x, dataset), induced_partition(y, dataset))
+    cols = range(len(y.alphabet))
+    grid = tuple(
+        tuple(Fraction(cells.get((i, j), 0), dataset.scale) for j in cols)
+        for i in range(len(x.alphabet))
+    )
+    return ContingencyTable(x.alphabet, y.alphabet, grid)
 
 
 def canonical_class(p: Partition) -> CanonicalClass:
     """Canonical representative of a partition (see ``CanonicalClass``)."""
-    order = sorted(
-        range(p.n_blocks), key=lambda i: (-p.block_probs[i], min(p.blocks[i]))
-    )
-    blocks = tuple(p.blocks[i] for i in order)
-    probs = tuple(p.block_probs[i] for i in order)
-    return CanonicalClass(blocks, probs, tuple(sorted(probs, reverse=True)))
+    order = sorted(range(p.n_blocks), key=lambda b: (-p.counts[b], b))
+    probs = tuple(p.block_probs[b] for b in order)
+    return CanonicalClass(tuple(p.blocks[b] for b in order), probs, probs)
 
 
 def canonicalize(var: CategoricalVariable, dataset: Dataset) -> CanonicalClass:

@@ -126,6 +126,18 @@ def oracle_marginals(labels) -> set:
     return {Fraction(c, n) for c in counts.values()}
 
 
+def oracle_profile(labels) -> tuple:
+    """Exact label masses, largest first: the canonical-class signature."""
+    n = len(labels)
+    return tuple(sorted((Fraction(c, n) for c in Counter(labels).values()), reverse=True))
+
+
+def oracle_is_coarser(xs, ys) -> bool:
+    """True iff each y label occurs with a single x label."""
+    seen: dict = {}
+    return all(seen.setdefault(y, x) == x for x, y in zip(xs, ys))
+
+
 # ---------------------------------------------------------------------------
 # frozen high-precision constants (40-60 digit arithmetic, truncated to
 # double precision); compare with abs tolerance 1e-12

@@ -1,3 +1,5 @@
+import importlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -319,3 +321,23 @@ class TestConditionalEntropyLaws:
         p, q, r = parts(d, "c0", "c1", "c2")
         report = check_conditional_entropy_laws(p, q, r)
         assert report.passed, report.failures()
+
+
+class TestRouteIndependence:
+    def test_conditional_entropy_never_takes_the_joint_route(self, internship, monkeypatch):
+        # the chain rule and cross_check compare H(x | y) with joint-entropy
+        # sums; they only test something while the two routes stay separate
+        def refuse(*args):
+            raise AssertionError("conditional_entropy went through the joint-entropy route")
+
+        # the package re-exports the function ``entropy`` under the module's name
+        module = importlib.import_module("catent.entropy")
+        for name in ("entropy", "join", "joint_entropy"):
+            monkeypatch.setattr(module, name, refuse)
+        names = internship.names
+        ps = dict(zip(names, parts(internship, *names)))
+        for a, b in itertools.product(names, repeat=2):
+            want = oracle.oracle_conditional_entropy(
+                oracle.internship_column(a), oracle.internship_column(b)
+            )
+            assert conditional_entropy(ps[a], ps[b]) == pytest.approx(want, abs=oracle.FROZEN_TOL)

@@ -213,6 +213,26 @@ class TestMatrixIO:
         with pytest.raises(ParseError):
             load_matrix(io.StringIO(text), fmt=fmt)
 
+    @pytest.mark.parametrize("text, fmt", [
+        ("\ta\ta\na\t0\t1\na\t1\t0\n", "tsv"),
+        ('{"names": ["a", "a"], "values": [[0, 1], [1, 0]]}', "json"),
+    ])
+    def test_duplicate_names_rejected(self, text, fmt):
+        with pytest.raises(ParseError, match="duplicate"):
+            load_matrix(io.StringIO(text), fmt=fmt)
+
+    @pytest.mark.parametrize("names", ['"ab"', '["a", 2]', '{"a": 0, "b": 1}'])
+    def test_json_names_must_be_a_list_of_strings(self, names):
+        text = f'{{"names": {names}, "values": [[0, 1], [1, 0]]}}'
+        with pytest.raises(ParseError, match="list of strings"):
+            load_matrix(io.StringIO(text), fmt="json")
+
+    @pytest.mark.parametrize("cell", ['"0.5"', "true", "null"])
+    def test_json_cells_must_be_numbers(self, cell):
+        text = f'{{"names": ["a", "b"], "values": [[0, {cell}], [0.5, 0]]}}'
+        with pytest.raises(ParseError, match="numbers"):
+            load_matrix(io.StringIO(text), fmt="json")
+
     def test_asymmetric_values_still_load(self):
         # reporting asymmetry is check_distance_axioms's job, not the loader's
         m = load_matrix(io.StringIO("\ta\tb\na\t0\t0.25\nb\t0.5\t0\n"), fmt="tsv")

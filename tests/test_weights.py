@@ -1,0 +1,94 @@
+"""Non-uniform row weights against their uniform expansion.
+
+A dataset whose row i weighs ``m_i / sum(m)`` carries the same
+distribution as the uniform dataset in which row i is repeated ``m_i``
+times, so every entropy, partition verdict and exact mass computed on
+the integer multiplicities must agree with the Counter-based oracle run
+on the expansion.
+"""
+
+import itertools
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+
+from catent.algebra import relabel
+from catent.entropy import conditional_entropy, entropy, symmetric_uncertainty
+from catent.model import (
+    Dataset,
+    Partition,
+    canonical_class,
+    contingency,
+    induced_partition,
+    is_coarser,
+    join,
+)
+
+import oracle
+import strategies
+
+TOL = 1e-12
+
+
+@given(strategies.weighted_datasets())
+@settings(max_examples=150)
+def test_weighted_dataset_matches_its_uniform_expansion(case):
+    d, expanded = case
+    parts = {nm: induced_partition(d[nm], d) for nm in d.names}
+    for nm, p in parts.items():
+        assert canonical_class(p).signature == oracle.oracle_profile(expanded[nm])
+    for a, b in itertools.product(d.names, repeat=2):
+        p, q, xs, ys = parts[a], parts[b], expanded[a], expanded[b]
+        assert entropy(p) == pytest.approx(oracle.oracle_entropy(xs), abs=TOL)
+        assert conditional_entropy(p, q) == pytest.approx(
+            oracle.oracle_conditional_entropy(xs, ys), abs=TOL
+        )
+        assert symmetric_uncertainty(p, q) == pytest.approx(oracle.oracle_su(xs, ys), abs=TOL)
+        joined = join(p, q)
+        assert entropy(joined) == pytest.approx(oracle.oracle_joint_entropy(xs, ys), abs=TOL)
+        assert joined.n_blocks == len(set(zip(xs, ys)))
+        # p is coarser than q exactly when joining p to q leaves q unchanged
+        assert is_coarser(p, q) == oracle.oracle_is_coarser(xs, ys)
+        assert (joined == q) == oracle.oracle_is_coarser(xs, ys)
+        cells = Counter(zip(xs, ys))
+        table = contingency(d[a], d[b], d)
+        for la, lb in itertools.product(table.row_alphabet, table.col_alphabet):
+            assert table.mass(la, lb) == Fraction(cells[la, lb], len(xs))
+
+
+@given(strategies.weighted_datasets())
+@settings(max_examples=60)
+def test_equal_partitions_hash_equal(case):
+    d, _ = case
+    for nm in d.names:
+        p = induced_partition(d[nm], d)
+        for twin in (
+            Partition(p.blocks, p.block_probs, d.row_weights),
+            Partition.from_blocks(reversed(p.blocks), d.row_weights),
+            induced_partition(relabel(d[nm]), d),
+        ):
+            assert twin == p
+            assert hash(twin) == hash(p)
+
+
+def test_same_blocks_with_other_weights_compare_unequal():
+    columns = {"a": ["x", "y", "x"]}
+    uniform = Dataset.from_columns(columns)
+    weighted = Dataset.from_columns(columns, [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])
+    p = induced_partition(uniform["a"], uniform)
+    q = induced_partition(weighted["a"], weighted)
+    assert p.blocks == q.blocks
+    assert p != q
+    assert p.block_probs == (Fraction(2, 3), Fraction(1, 3))
+    assert q.block_probs == (Fraction(3, 4), Fraction(1, 4))
+
+
+def test_weights_become_integer_multiplicities():
+    columns = {"a": ["x", "y", "x"]}
+    uniform = Dataset.from_columns(columns)
+    assert (uniform.scale, uniform.multiplicities) == (3, None)
+    weighted = Dataset.from_columns(columns, [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)])
+    assert (weighted.scale, weighted.multiplicities) == (6, (3, 2, 1))
+    assert induced_partition(weighted["a"], weighted).counts == (4, 2)
