@@ -9,8 +9,9 @@ SU-distance:
     d(x * y, z * w)  <=  d(x, z) + d(y, w)
 
 so joining is continuous in the metric of ``catent.metric``.  The law
-checkers below test the monoid laws exactly (canonical-class equality,
-no tolerance) and contractivity numerically.
+checkers below test the monoid laws exactly (induced-partition equality,
+equivalent to canonical-class equality; no tolerance) and contractivity
+numerically.  Each builds every joint and entropy it needs once per call.
 """
 
 import functools
@@ -20,12 +21,11 @@ from .model import (
     Dataset,
     JointVariable,
     StructuralError,
-    canonicalize,
     induced_partition,
     join,
 )
-from .entropy import TOLERANCE
-from .metric import AxiomReport, _Gauge, instances, partition_distance
+from .entropy import TOLERANCE, _su, entropy
+from .metric import AxiomReport, _Gauge, instances
 
 
 def joint(
@@ -77,8 +77,9 @@ def check_monoid_laws(
 ) -> AxiomReport:
     """Validate the monoid laws of the joint operation, exactly.
 
-    Every law is an equality of canonical classes, so there is no
-    tolerance: a law either holds or produces a witness.  Checks:
+    Every law is an exact equality of induced partitions, equivalent to
+    equality of canonical classes, so there is no tolerance: a law
+    either holds or produces a witness.  Checks:
     associativity ``(x*y)*z ~ x*(y*z)``; commutativity ``x*y ~ y*x``;
     identity ``x*constant ~ x``; and well-definedness, i.e. replacing
     the operands by relabeled (indiscernible) copies leaves the class
@@ -90,7 +91,10 @@ def check_monoid_laws(
     triple_list = instances(dataset.names, 3, triples, seed)
 
     const = identity_variable(dataset)
-    canon = lambda v: canonicalize(v, dataset)  # noqa: E731
+
+    @functools.cache  # keyed by the ordered pair: x*y and y*x stay two joints
+    def jv(a: str, b: str) -> JointVariable:
+        return joint(dataset[a], dataset[b], dataset)
 
     g_assoc = _Gauge("associativity")
     g_commut = _Gauge("commutativity")
@@ -101,25 +105,26 @@ def check_monoid_laws(
         # exact laws: margin 0 on success, -inf on a counterexample
         return 0.0 if equal else float("-inf")
 
+    # columns of one dataset induce equal partitions (so have equal
+    # canonical classes) exactly when their first-occurrence codes are equal
     pairs_done: set[tuple[str, str]] = set()
     singles_done: set[str] = set()
     for nx, ny, nz in triple_list:
         x, y, z = dataset[nx], dataset[ny], dataset[nz]
-        xy = joint(x, y, dataset)
-        left = canon(joint(xy, z, dataset))
-        right = canon(joint(x, joint(y, z, dataset), dataset))
+        xy = jv(nx, ny)
+        left = joint(xy, z, dataset).codes
+        right = joint(x, jv(ny, nz), dataset).codes
         g_assoc.add(verdict(left == right), (nx, ny, nz))
 
         if (nx, ny) not in pairs_done:
             pairs_done.add((nx, ny))
-            c_xy = canon(xy)
-            g_commut.add(verdict(c_xy == canon(joint(y, x, dataset))), (nx, ny))
+            g_commut.add(verdict(xy.codes == joint(y, x, dataset).codes), (nx, ny))
             relabeled = joint(relabel(x), relabel(y), dataset)
-            g_well.add(verdict(canon(relabeled) == c_xy), (nx, ny))
+            g_well.add(verdict(relabeled.codes == xy.codes), (nx, ny))
 
         if nx not in singles_done:
             singles_done.add(nx)
-            g_ident.add(verdict(canon(joint(x, const, dataset)) == canon(x)), (nx,))
+            g_ident.add(verdict(joint(x, const, dataset).codes == x.codes), (nx,))
 
     return AxiomReport(
         (
@@ -147,17 +152,20 @@ def check_contractivity(
     quad_list = instances(names, 4, quadruples, seed)
 
     parts = {nm: induced_partition(dataset[nm], dataset) for nm in names}
+    hs = {nm: entropy(p) for nm, p in parts.items()}
 
     @functools.cache
     def jp(a: str, b: str):
-        return join(parts[a], parts[b])
+        j = join(parts[a], parts[b])
+        return j, entropy(j)
 
+    # each distance is computed in the order its pair is first asked for
     base_cache: dict[frozenset, float] = {}
 
     def base_d(a: str, b: str) -> float:
         key = frozenset((a, b))
         if key not in base_cache:
-            base_cache[key] = partition_distance(parts[a], parts[b])
+            base_cache[key] = 1.0 - _su(parts[a], parts[b], hs[a], hs[b])
         return base_cache[key]
 
     joint_cache: dict[tuple, float] = {}
@@ -165,7 +173,8 @@ def check_contractivity(
     def joint_d(p1: tuple[str, str], p2: tuple[str, str]) -> float:
         key = (p1, p2) if p1 <= p2 else (p2, p1)
         if key not in joint_cache:
-            joint_cache[key] = partition_distance(jp(*p1), jp(*p2))
+            (j1, h1), (j2, h2) = jp(*p1), jp(*p2)
+            joint_cache[key] = 1.0 - _su(j1, j2, h1, h2)
         return joint_cache[key]
 
     g = _Gauge("contractivity")

@@ -2,7 +2,8 @@
 
 Exit codes: 0 when the requested computation or validation succeeds,
 1 when a validator finds a violation (a witness is printed), 2 for
-usage errors, unknown columns, or unreadable input.
+usage errors, unknown columns, or unreadable input, and 141, silently,
+when the reader of standard output leaves early (``catent ... | head``).
 
 Values display with 4 decimals by default; ``--full`` switches to 17
 significant digits.  Datasets are read from a CSV path or from stdin
@@ -10,6 +11,7 @@ when the path is ``-``.
 """
 
 import argparse
+import os
 import sys
 from functools import partial, reduce
 from pathlib import Path
@@ -27,6 +29,7 @@ from .entropy import (
 )
 from .ingest import CsvSpec, IngestError, load_csv, save_csv, save_matrix
 from .metric import (
+    MAX_DEMO_STEPS,
     check_distance_axioms,
     check_similarity_axioms,
     distance_matrix,
@@ -348,7 +351,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demo-nondiscrete",
                        help="show distinct columns at vanishing distance")
     p.add_argument("--steps", type=int, default=11,
-                   help="number of doublings starting at 4 rows (default 11)")
+                   help="number of doublings starting at 4 rows "
+                   f"(default 11, at most {MAX_DEMO_STEPS})")
     p.add_argument("--full", action="store_true",
                    help="print 17 significant digits instead of 4 decimals")
     p.set_defaults(func=_cmd_demo_nondiscrete)
@@ -365,7 +369,14 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe must fail here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader left early (``catent ... | head``): not an error of the input;
+        # stdout goes to devnull so the final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a writer killed by the signal
     except KeyError as exc:
         print(f"error: unknown column {exc.args[0]!r}", file=sys.stderr)
         return 2

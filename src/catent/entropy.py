@@ -84,10 +84,14 @@ def symmetric_uncertainty(x: Partition, y: Partition) -> float:
     Two constants are indiscernible, so the pair is assigned 1, the
     similarity of a variable with itself.
     """
-    hx, hy = entropy(x), entropy(y)
+    return _su(x, y, entropy(x), entropy(y))
+
+
+def _su(x: Partition, y: Partition, hx: Bits, hy: Bits) -> float:
+    # symmetric uncertainty from the marginal entropies hx = H(x), hy = H(y)
     if hx == 0.0 and hy == 0.0:
         return 1.0
-    return 2.0 * mutual_information(x, y) / (hx + hy)
+    return 2.0 * _clamp(hx - conditional_entropy(x, y)) / (hx + hy)
 
 
 def entropic_ratio(x: Partition, y: Partition) -> float:
@@ -221,21 +225,22 @@ def check_conditional_entropy_laws(
 
     clauses = []
 
+    h_x_given_y = conditional_entropy(x, y)
+    h_x_given_z = conditional_entropy(x, z)
     lhs = conditional_entropy(xy, z)
-    rhs = conditional_entropy(x, z) + conditional_entropy(y, xz)
+    rhs = h_x_given_z + conditional_entropy(y, xz)
     gap = abs(lhs - rhs)
     clauses.append(LawClause("chain_rule", gap <= tol, False, gap))
 
     coarser = is_coarser(x, y)
     if coarser:
-        gap_fwd = max(conditional_entropy(x, z) - conditional_entropy(y, z), 0.0)
+        gap_fwd = max(h_x_given_z - conditional_entropy(y, z), 0.0)
         gap_rev = max(conditional_entropy(z, y) - conditional_entropy(z, x), 0.0)
         gap = max(gap_fwd, gap_rev)
         clauses.append(LawClause("coarsening_monotone", gap <= tol, False, gap))
     else:
         clauses.append(LawClause("coarsening_monotone", True, True, 0.0))
 
-    h_x_given_y = conditional_entropy(x, y)
     zero = h_x_given_y <= tol
     if coarser and not zero:
         clauses.append(LawClause("zero_iff_coarser", False, False, h_x_given_y))
@@ -251,8 +256,8 @@ def check_conditional_entropy_laws(
 
     h_x_given_yz = conditional_entropy(x, yz)
     gap = max(
-        h_x_given_yz - conditional_entropy(x, y),
-        h_x_given_yz - conditional_entropy(x, z),
+        h_x_given_yz - h_x_given_y,
+        h_x_given_yz - h_x_given_z,
         0.0,
     )
     clauses.append(LawClause("conditioning_reduces", gap <= tol, False, gap))

@@ -47,12 +47,14 @@ from .model import (
     canonical_classes,
     induced_partition,
 )
-from .entropy import TOLERANCE, symmetric_uncertainty
+from .entropy import TOLERANCE, _su, entropy, symmetric_uncertainty
 from .randgen import SplitMix64
 
 # past this many columns, exhaustive enumeration of instances gives way to sampling
 EXHAUSTIVE_LIMIT = 8
 DEFAULT_SAMPLES = 1000
+# the nondiscreteness demo's last dataset has 4 << (steps - 1) rows: 2 Mi at the cap
+MAX_DEMO_STEPS = 20
 
 
 def partition_distance(x: Partition, y: Partition) -> float:
@@ -105,11 +107,12 @@ def distance_matrix(dataset: Dataset, subset: Sequence[str] | None = None) -> Di
     """Pairwise distance matrix over all columns or a named subset."""
     names = tuple(dataset.names if subset is None else subset)
     parts = [induced_partition(dataset[name], dataset) for name in names]
+    hs = [entropy(p) for p in parts]
     n = len(names)
     values = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            values[i, j] = values[j, i] = partition_distance(parts[i], parts[j])
+            values[i, j] = values[j, i] = 1.0 - _su(parts[i], parts[j], hs[i], hs[j])
     return DistanceMatrix(names, values)
 
 
@@ -246,8 +249,14 @@ def instances(
         sample = DEFAULT_SAMPLES
     if sample < 1:
         raise ValueError(f"sample size must be at least 1, got {sample}")
+    return list(_sampled(tuple(names), width, sample, seed))
+
+
+@functools.lru_cache(maxsize=32)
+def _sampled(names: tuple[str, ...], width: int, sample: int, seed: int) -> tuple:
+    # the check commands draw the same sample for every dataset and validator
     rng = SplitMix64(seed)
-    return [tuple(rng.choice(names) for _ in range(width)) for _ in range(sample)]
+    return tuple(tuple(rng.choice(names) for _ in range(width)) for _ in range(sample))
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +289,7 @@ def check_similarity_axioms(
     """
     names = list(dataset.names)
     parts = {nm: induced_partition(dataset[nm], dataset) for nm in names}
+    hs = {nm: entropy(p) for nm, p in parts.items()}
     classes = canonical_classes(dataset)
 
     triple_list = instances(names, 3, triples, seed)
@@ -289,7 +299,7 @@ def check_similarity_axioms(
 
     @functools.cache  # keyed by the ordered pair: symmetry compares two computations
     def su(a: str, b: str) -> float:
-        return symmetric_uncertainty(parts[a], parts[b])
+        return _su(parts[a], parts[b], hs[a], hs[b])
 
     g_symmetry = _Gauge("symmetry")
     g_self_nonneg = _Gauge("self_similarity_nonnegative")
@@ -355,7 +365,8 @@ def check_distance_axioms(
     missing = [nm for nm in names if nm not in class_keys]
     if missing:
         raise KeyError(f"no canonical class for columns: {missing}")
-    d = matrix.value
+    index, rows = {nm: names.index(nm) for nm in names}, matrix.values.tolist()
+    d = lambda a, b: rows[index[a]][index[b]]  # noqa: E731  (the floats of matrix.value)
 
     g_nonneg = _Gauge("nonnegativity")
     g_bounded = _Gauge("bounded_by_one")
@@ -409,10 +420,11 @@ def nondiscreteness_demo(steps: int = 11) -> list[tuple[float, float]]:
     shrinks without bound as ``n`` grows: no ball of positive radius
     isolates a point, so the induced topology is not discrete.
 
-    Returns ``(1/n, distance)`` pairs in generation order.
+    Returns ``(1/n, distance)`` pairs in generation order.  ``steps``
+    must lie in ``1..MAX_DEMO_STEPS``.
     """
-    if steps < 1:
-        raise ValueError("at least one step required")
+    if not 1 <= steps <= MAX_DEMO_STEPS:
+        raise ValueError(f"steps must lie in 1..{MAX_DEMO_STEPS}, got {steps}")
     out = []
     for i in range(steps):
         n = 4 << i

@@ -1,8 +1,11 @@
+import functools
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
 
+from catent import algebra
 from catent.algebra import (
     are_indiscernible,
     check_contractivity,
@@ -11,14 +14,16 @@ from catent.algebra import (
     joint,
     relabel,
 )
-from catent.metric import partition_distance
+from catent.metric import instances, partition_distance
 from catent.model import (
     Dataset,
+    JointVariable,
     StructuralError,
     canonicalize,
     induced_partition,
     join,
 )
+from catent.randgen import GenConfig, gen_dataset
 
 import strategies
 
@@ -28,6 +33,74 @@ MONOID_CHECKS = (
     "identity_element",
     "well_definedness",
 )
+
+
+@pytest.fixture(scope="module")
+def acceptance_population():
+    return [gen_dataset(GenConfig(seed=s), columns=s % 4 + 2) for s in range(200)]
+
+
+def one_sided_joint(monkeypatch):
+    """Patch ``catent.algebra.joint`` so that the joint of two different
+    columns carries only the left operand's labels: commutativity breaks,
+    while associativity, identity and well-definedness still hold."""
+    real = algebra.joint
+
+    def left_only(a, b, dataset):
+        j = real(a, b, dataset)
+        return j if a == b else JointVariable(j.name, a.labels, parents=j.parents)
+
+    monkeypatch.setattr(algebra, "joint", left_only)
+
+
+def monoid_by_canonical_class(dataset):
+    """``(passed, instances, first counterexample)`` per monoid law,
+    recomputed over every ordered instance from joints compared by
+    ``canonicalize``."""
+    canon = lambda v: canonicalize(v, dataset)  # noqa: E731
+    j = lambda a, b: algebra.joint(a, b, dataset)  # noqa: E731
+    pair = functools.cache(lambda a, b: j(dataset[a], dataset[b]))
+    const = identity_variable(dataset)
+    found = {law: [0, None] for law in MONOID_CHECKS}
+
+    def record(law, equal, witness):
+        found[law][0] += 1
+        if not equal and found[law][1] is None:
+            found[law][1] = witness
+
+    names = dataset.names
+    for w in itertools.product(names, repeat=3):
+        x, y, z = map(dataset.__getitem__, w)
+        record("associativity", canon(j(pair(*w[:2]), z)) == canon(j(x, pair(*w[1:]))), w)
+    for w in itertools.product(names, repeat=2):
+        x, y = map(dataset.__getitem__, w)
+        record("commutativity", canon(j(x, y)) == canon(j(y, x)), w)
+        record("well_definedness", canon(j(relabel(x), relabel(y))) == canon(j(x, y)), w)
+    for nm in names:
+        record("identity_element", canon(j(dataset[nm], const)) == canon(dataset[nm]), (nm,))
+    return {law: (w is None, n, w) for law, (n, w) in found.items()}
+
+
+def contractivity_by_partition_distance(dataset, quads):
+    """Worst ``(slack, witness, lhs, rhs)`` over ``quads``, with every
+    distance from ``partition_distance`` on the operands in the order in
+    which its pair (of columns, or of joined pairs) is first asked for."""
+    parts = {nm: induced_partition(dataset[nm], dataset) for nm in dataset.names}
+    first: dict[frozenset, float] = {}
+
+    def d(key, p, q):
+        if key not in first:
+            first[key] = partition_distance(p, q)
+        return first[key]
+
+    worst = (math.inf, None, None, None)
+    for x, y, z, w in quads:
+        lhs = d(frozenset({(x, y), (z, w)}),
+                join(parts[x], parts[y]), join(parts[z], parts[w]))
+        rhs = d(frozenset({x, z}), parts[x], parts[z]) + d(frozenset({y, w}), parts[y], parts[w])
+        if rhs - lhs < worst[0]:
+            worst = (rhs - lhs, (x, y, z, w), lhs, rhs)
+    return worst
 
 
 class TestJoint:
@@ -156,6 +229,39 @@ class TestMonoidLaws:
         replaced = canonicalize(joint(relabel(x), relabel(y), data), data)
         assert original == replaced
 
+    @pytest.mark.parametrize("order", [1, -1], ids=["columns", "reversed-columns"])
+    def test_one_sided_joint_fails_commutativity(self, internship, monkeypatch, order):
+        # names c0..c5 run ascending in one order and descending in the other
+        columns = [(f"c{i}", internship[nm].labels) for i, nm in enumerate(internship.names)]
+        data = Dataset.from_columns(dict(columns[::order]))
+        assert check_monoid_laws(data).passed
+        one_sided_joint(monkeypatch)
+        report = check_monoid_laws(data)
+        assert [c.name for c in report.failures()] == ["commutativity"]
+        # every discernible pair now fails, so the first one is the witness
+        first = next(
+            (a, b) for a, b in itertools.product(data.names, repeat=2)
+            if not are_indiscernible(data[a], data[b], data)
+        )
+        assert report.check("commutativity").witness == first
+
+    @pytest.mark.parametrize("one_sided", [False, True], ids=["joint", "one-sided-joint"])
+    def test_verdicts_equal_canonical_class_recomputation(
+        self, acceptance_population, monkeypatch, one_sided
+    ):
+        datasets = acceptance_population
+        if one_sided:  # failing verdicts, so that witnesses are compared too
+            one_sided_joint(monkeypatch)
+            datasets = datasets[:50]
+        failed = 0
+        for dataset in datasets:
+            report = check_monoid_laws(dataset)
+            got = {c.name: (c.passed, c.instances, None if c.passed else c.witness)
+                   for c in report.checks}
+            assert got == monoid_by_canonical_class(dataset)
+            failed += not report.passed
+        assert failed > 0 if one_sided else failed == 0
+
 
 class TestContractivity:
     def test_fixture_passes_exhaustively(self, internship):
@@ -205,3 +311,14 @@ class TestContractivity:
     def test_holds_on_random_datasets(self, data):
         report = check_contractivity(data)
         assert report.passed, report.summary()
+
+    @given(strategies.weighted_datasets())
+    @settings(max_examples=60)
+    def test_lhs_rhs_equal_partition_distance_exactly(self, drawn):
+        data, _ = drawn
+        runs = [(None, 0, list(itertools.product(data.names, repeat=4)))]
+        runs += [(1, seed, instances(data.names, 4, 1, seed)) for seed in range(4)]
+        for size, seed, quads in runs:
+            check = check_contractivity(data, quadruples=size, seed=seed).check("contractivity")
+            got = (check.worst_slack, check.witness, check.lhs, check.rhs)
+            assert got == contractivity_by_partition_distance(data, quads)

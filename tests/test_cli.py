@@ -1,6 +1,7 @@
 import importlib
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -10,6 +11,8 @@ import pytest
 
 from catent.cli import main
 from catent.ingest import INTERNSHIP, fixture_path
+from catent.metric import MAX_DEMO_STEPS
+from catent.model import Dataset
 
 FIXTURE = str(fixture_path(INTERNSHIP))
 
@@ -335,6 +338,18 @@ class TestDemoNondiscrete:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_steps_above_cap_is_bad_input(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dataset was built")
+
+        monkeypatch.setattr(Dataset, "from_columns", refuse)
+        code, out, err = run_cli(
+            capsys, "demo-nondiscrete", "--steps", str(MAX_DEMO_STEPS + 1)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestTopLevel:
     def test_no_arguments_is_usage_error(self, capsys):
@@ -365,6 +380,25 @@ class TestTopLevel:
         )
         assert proc.returncode == 0
         assert "0.4627" in proc.stdout
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_closed_stdout_is_neither_error_nor_violation(self, unbuffered):
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first write
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "catent.cli",
+                 "check-lemma2", "--random", "3", "--columns", "3"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode not in (0, 1, 2)
 
     def test_console_script_declared(self):
         tomllib = pytest.importorskip("tomllib")

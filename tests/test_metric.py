@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 
 from catent.algebra import check_contractivity, check_monoid_laws
-from catent.entropy import TOLERANCE
+from catent.entropy import TOLERANCE, entropy, mutual_information
 from catent.metric import (
+    MAX_DEMO_STEPS,
     DistanceMatrix,
     check_distance_axioms,
     check_similarity_axioms,
@@ -116,6 +117,22 @@ class TestDistanceMatrix:
                 assert m.value(a, b) == pytest.approx(
                     partition_distance(parts[a], parts[b]), abs=1e-15
                 )
+
+    @given(strategies.weighted_datasets())
+    @settings(max_examples=80)
+    def test_entries_equal_partition_distance_exactly(self, drawn):
+        # each unordered pair is computed once, in index order
+        data, _ = drawn
+        m = distance_matrix(data)
+        parts = [induced_partition(data[nm], data) for nm in m.names]
+        for i, j in itertools.product(range(m.size), repeat=2):
+            lo, hi = parts[min(i, j)], parts[max(i, j)]
+            want = 0.0 if i == j else partition_distance(lo, hi)
+            assert m.values[i, j] == want
+            if entropy(lo) + entropy(hi) > 0.0:
+                # the SU formula itself, term for term
+                su = 2.0 * mutual_information(lo, hi) / (entropy(lo) + entropy(hi))
+                assert partition_distance(lo, hi) == 1.0 - su
 
 
 class TestSimilarityAxioms:
@@ -287,6 +304,20 @@ class TestNondiscreteness:
         with pytest.raises(ValueError):
             nondiscreteness_demo(steps=0)
 
+    def test_steps_capped_before_any_dataset_is_built(self, monkeypatch):
+        class Built(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise Built
+
+        # never let the demo allocate: the cap alone must stop it
+        monkeypatch.setattr(Dataset, "from_columns", refuse)
+        with pytest.raises(ValueError, match="steps"):
+            nondiscreteness_demo(MAX_DEMO_STEPS + 1)
+        with pytest.raises(Built):
+            nondiscreteness_demo(MAX_DEMO_STEPS)
+
     def test_epsilon_halves_each_step(self):
         seq = nondiscreteness_demo(steps=5)
         eps = [e for e, _ in seq]
@@ -313,6 +344,13 @@ class TestInstances:
             ("IQuotient", "IQuotient", "IQuotient", "GotHired"),
             ("Neatness", "Creativity", "Neatness", "AttentionType"),
         ]
+
+    def test_sampled_mode_returns_a_fresh_list(self):
+        names = tuple(f"c{i}" for i in range(9))
+        drawn = instances(names, 3)
+        drawn.clear()  # the samples are shared between calls: a caller must not see this
+        assert instances(names, 3) == instances(list(names), 3)
+        assert len(instances(names, 3)) == 1000
 
     @pytest.mark.parametrize("sample", [0, -1])
     def test_sample_below_one_rejected(self, sample):
