@@ -44,6 +44,9 @@ from .model import (
 )
 from .randgen import MODES, ConfigError, GenConfig, gen_dataset
 
+# --random is a count of generated datasets; a hundred times the acceptance population
+MAX_RANDOM = 100_000
+
 
 def _fmt(value: float, full: bool) -> str:
     return format(value, ".17g") if full else format(value, ".4f")
@@ -189,8 +192,8 @@ def _datasets_under_test(args):
         return
     if args.random is None:
         raise _Usage("either DATA or --random N is required")
-    if args.random < 1:
-        raise _Usage("--random must be at least 1")
+    if not 1 <= args.random <= MAX_RANDOM:
+        raise _Usage(f"--random must be at least 1 and at most {MAX_RANDOM}")
     for i in range(args.random):
         config = GenConfig(
             seed=args.seed + i,

@@ -22,8 +22,6 @@ from importlib import resources
 from pathlib import Path
 from typing import TextIO, Union
 
-import numpy as np
-
 from .metric import DistanceMatrix
 from .model import CatentError, Dataset, format_label
 
@@ -220,11 +218,12 @@ def save_matrix(
 def load_matrix(source: Source, fmt: str = "tsv") -> DistanceMatrix:
     """Read a distance matrix written by ``save_matrix``.
 
-    Names must be distinct strings, TSV row labels must repeat the
-    header's names in the same order, and every cell must be a number
-    (a number literal in JSON); anything else raises ``ParseError``.
-    The values themselves are not validated: ``check_distance_axioms``
-    reports asymmetry and the other axioms.
+    Names must be one or more distinct strings, TSV row labels must
+    repeat the header's names in the same order, and the body must have
+    one row per name, each of one number per name (in JSON, a number
+    literal that fits a float); anything else raises ``ParseError``.
+    Cells become Python floats.  The values themselves are not validated:
+    ``check_distance_axioms`` reports asymmetry and the other axioms.
     """
     if fmt not in MATRIX_FORMATS:
         raise ParseError(f"unknown matrix format {fmt!r}; expected one of {MATRIX_FORMATS}")
@@ -242,7 +241,7 @@ def load_matrix(source: Source, fmt: str = "tsv") -> DistanceMatrix:
                 raise ParseError("matrix names must be a list of strings")
             if any(type(v) not in (int, float) for row in rows for v in row):
                 raise ParseError("matrix cells must be numbers")
-            names, values = tuple(names), np.array(rows, dtype=float)
+            names, values = tuple(names), [[float(v) for v in row] for row in rows]
         else:
             lines = [ln.split("\t") for ln in text.splitlines() if ln]
             if not lines:
@@ -251,12 +250,14 @@ def load_matrix(source: Source, fmt: str = "tsv") -> DistanceMatrix:
             labels = tuple(fields[0] for fields in lines[1:])
             if labels != names:
                 raise ParseError(f"matrix row labels {labels} do not match the header {names}")
-            values = np.array([[float(f) for f in fields[1:]] for fields in lines[1:]])
-    except (KeyError, TypeError, ValueError) as exc:
+            values = [[float(f) for f in fields[1:]] for fields in lines[1:]]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed matrix {fmt.upper()}: {exc}") from exc
+    if not names:
+        raise ParseError("matrix has no names")
     if len(set(names)) != len(names):
         raise ParseError(f"duplicate matrix names in {names}")
-    if values.shape != (len(names), len(names)):
+    if len(values) != len(names) or any(len(row) != len(names) for row in values):
         raise ParseError("matrix body does not match its name list")
     return DistanceMatrix(names, values)
 

@@ -37,8 +37,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .model import (
     CanonicalClass,
     CategoricalVariable,
@@ -79,21 +77,24 @@ def su_distance(
 class DistanceMatrix:
     """Symmetric matrix of pairwise SU-distances over named columns.
 
-    Each unordered pair is computed once, so the matrix is symmetric by
-    construction with an exactly zero diagonal.
+    ``values`` is one tuple of floats per name.  Each unordered pair is computed
+    once, so the matrix is symmetric by construction with an exactly zero diagonal.
     """
 
     names: tuple[str, ...]
-    values: np.ndarray
+    values: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        if arr.shape != (len(self.names), len(self.names)):
+        try:
+            rows = tuple(tuple(map(float, row)) for row in self.values)
+        except TypeError as exc:  # a bare number where a row belongs, or a non-number
+            raise ValueError("values must be one row of numbers per name") from exc
+        if len(rows) != len(self.names) or any(len(row) != len(self.names) for row in rows):
             raise ValueError("matrix shape must match the name list")
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", rows)
 
     def value(self, a: str, b: str) -> float:
-        return float(self.values[self.names.index(a), self.names.index(b)])
+        return self.values[self.names.index(a)][self.names.index(b)]
 
     def __getitem__(self, pair: tuple[str, str]) -> float:
         return self.value(*pair)
@@ -109,10 +110,10 @@ def distance_matrix(dataset: Dataset, subset: Sequence[str] | None = None) -> Di
     parts = [induced_partition(dataset[name], dataset) for name in names]
     hs = [entropy(p) for p in parts]
     n = len(names)
-    values = np.zeros((n, n))
+    values = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            values[i, j] = values[j, i] = 1.0 - _su(parts[i], parts[j], hs[i], hs[j])
+            values[i][j] = values[j][i] = 1.0 - _su(parts[i], parts[j], hs[i], hs[j])
     return DistanceMatrix(names, values)
 
 
@@ -365,7 +366,7 @@ def check_distance_axioms(
     missing = [nm for nm in names if nm not in class_keys]
     if missing:
         raise KeyError(f"no canonical class for columns: {missing}")
-    index, rows = {nm: names.index(nm) for nm in names}, matrix.values.tolist()
+    index, rows = {nm: names.index(nm) for nm in names}, matrix.values
     d = lambda a, b: rows[index[a]][index[b]]  # noqa: E731  (the floats of matrix.value)
 
     g_nonneg = _Gauge("nonnegativity")

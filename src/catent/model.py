@@ -75,9 +75,13 @@ class CategoricalVariable:
         labels = tuple(self.labels)
         if not labels:
             raise StructuralError(f"variable {self.name!r} has no rows")
-        # normalise each distinct label once; rewrite the rows only if one changes
-        if any(lab != _nfc(lab) for lab in dict.fromkeys(labels)):
-            labels = tuple(map(_nfc, labels))
+        alphabet = tuple(dict.fromkeys(labels))
+        # normalise each distinct string once; rewrite the rows only if one changes
+        if any(isinstance(lab, str) and not unicodedata.is_normalized("NFC", lab)
+               for lab in alphabet):
+            labels = tuple(map(_nfc, labels))  # merged labels: alphabet recomputed lazily
+        else:
+            vars(self)["alphabet"] = alphabet  # seeds the cached property
         object.__setattr__(self, "labels", labels)
 
     @classmethod

@@ -26,6 +26,12 @@ _GAMMA = 0x9E3779B97F4A7C15
 
 MODES = ("independent", "refined", "noisy-copy", "arbitrary")
 
+# upper bounds on generated sizes, checked before anything is drawn; 2**21 rows
+# is also the size of the nondiscreteness demo's last dataset
+MAX_ROWS = 1 << 21
+MAX_ALPHABET = 1 << 21
+MAX_COLUMNS = 1000
+
 
 class ConfigError(CatentError, ValueError):
     """Generator configuration is out of range or malformed."""
@@ -73,9 +79,11 @@ class SplitMix64:
 class GenConfig:
     """Parameters for one generated dataset.
 
-    ``rows`` and ``alphabet_size`` are inclusive ``(lo, hi)`` ranges;
-    the alphabet range bounds the number of distinct symbols a column
-    draws from (the realised alphabet may be smaller).
+    ``rows`` and ``alphabet_size`` are inclusive ``(lo, hi)`` ranges
+    with ``1 <= lo <= hi``, and ``hi`` at most ``MAX_ROWS`` and
+    ``MAX_ALPHABET`` respectively; the alphabet range bounds the number
+    of distinct symbols a column draws from (the realised alphabet may
+    be smaller).
     """
 
     seed: int = 0
@@ -86,14 +94,16 @@ class GenConfig:
     def __post_init__(self):
         if not isinstance(self.seed, int):
             raise ConfigError("seed must be an integer")
-        for field_name, (lo, hi) in (
-            ("rows", self.rows),
-            ("alphabet_size", self.alphabet_size),
+        for field_name, (lo, hi), cap in (
+            ("rows", self.rows, MAX_ROWS),
+            ("alphabet_size", self.alphabet_size, MAX_ALPHABET),
         ):
             if lo < 1 or hi < lo:
                 raise ConfigError(
                     f"{field_name} range ({lo}, {hi}) is empty or degenerate"
                 )
+            if hi > cap:
+                raise ConfigError(f"{field_name} upper bound {hi} exceeds {cap}")
         if self.correlation_mode not in MODES:
             raise ConfigError(
                 f"unknown correlation mode {self.correlation_mode!r}; "
@@ -104,11 +114,12 @@ class GenConfig:
 def gen_dataset(config: GenConfig, columns: int) -> Dataset:
     """Generate a uniform-weight dataset with the given column count.
 
-    Column names are ``c0, c1, ...``.  The output is a pure function of
+    Column names are ``c0, c1, ...``; ``columns`` must lie in
+    ``1..MAX_COLUMNS``.  The output is a pure function of
     ``(config, columns)``.
     """
-    if columns < 1:
-        raise ConfigError("at least one column required")
+    if not 1 <= columns <= MAX_COLUMNS:
+        raise ConfigError(f"columns must lie in 1..{MAX_COLUMNS}, got {columns}")
     rng = SplitMix64(config.seed)
     n = rng.randint(*config.rows)
 

@@ -9,10 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from catent.cli import main
+from catent import randgen
+from catent.cli import MAX_RANDOM, main
 from catent.ingest import INTERNSHIP, fixture_path
 from catent.metric import MAX_DEMO_STEPS
 from catent.model import Dataset
+from catent.randgen import MAX_ALPHABET, MAX_COLUMNS, MAX_ROWS
+
+ROOT = Path(__file__).resolve().parents[1]
 
 FIXTURE = str(fixture_path(INTERNSHIP))
 
@@ -224,6 +228,26 @@ class TestSampleSize:
         assert "at least 1" in err
 
 
+class TestGenerationCaps:
+    @pytest.mark.parametrize("command", ["check-metric", "check-monoid", "check-lemma2"])
+    @pytest.mark.parametrize("flags", [
+        ("--random", str(MAX_RANDOM + 1)),
+        ("--random", "1", "--rows", "2", str(MAX_ROWS + 1)),
+        ("--random", "1", "--alphabet", "1", str(MAX_ALPHABET + 1)),
+        ("--random", "1", "--columns", str(MAX_COLUMNS + 1)),
+    ], ids=["random", "rows", "alphabet", "columns"])
+    def test_oversized_generation_is_bad_input(self, capsys, monkeypatch, command, flags):
+        def refuse(*args, **kwargs):
+            raise AssertionError("generation started")
+
+        monkeypatch.setattr(randgen, "SplitMix64", refuse)
+        monkeypatch.setattr(Dataset, "from_columns", refuse)
+        code, out, err = run_cli(capsys, command, *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+
 class TestCheckMetric:
     def test_fixture_passes(self, capsys):
         code, out, _ = run_cli(capsys, "check-metric", FIXTURE)
@@ -400,9 +424,24 @@ class TestTopLevel:
         assert proc.stderr == b""
         assert proc.returncode not in (0, 1, 2)
 
+    def test_cli_import_leaves_numpy_unloaded(self):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, catent.cli; print(sorted(sys.modules))"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "'catent.cli'" in proc.stdout
+        assert "'numpy'" not in proc.stdout
+
+    def test_no_runtime_dependency_declared(self):
+        tomllib = pytest.importorskip("tomllib")
+        with (ROOT / "pyproject.toml").open("rb") as fh:
+            assert tomllib.load(fh)["project"].get("dependencies", []) == []
+
     def test_console_script_declared(self):
         tomllib = pytest.importorskip("tomllib")
-        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        pyproject = ROOT / "pyproject.toml"
         with pyproject.open("rb") as fh:
             target = tomllib.load(fh)["project"]["scripts"]["catent"]
         module, _, attr = target.partition(":")

@@ -1,7 +1,6 @@
 import io
 import json
 
-import numpy as np
 import pytest
 
 from catent.algebra import joint
@@ -149,14 +148,14 @@ class TestMatrixIO:
         text = save_matrix(m, fmt="tsv")
         again = load_matrix(io.StringIO(text), fmt="tsv")
         assert again.names == m.names
-        assert np.array_equal(again.values, m.values)
+        assert again.values == m.values
 
     def test_json_roundtrip_bit_exact(self, internship):
         m = distance_matrix(internship)
         text = save_matrix(m, fmt="json")
         again = load_matrix(io.StringIO(text), fmt="json")
         assert again.names == m.names
-        assert np.array_equal(again.values, m.values)
+        assert again.values == m.values
 
     def test_json_payload_shape(self, indiscernibles):
         payload = json.loads(save_matrix(distance_matrix(indiscernibles), fmt="json"))
@@ -178,7 +177,7 @@ class TestMatrixIO:
         m = distance_matrix(internship)
         p = tmp_path / "m.tsv"
         assert save_matrix(m, p) is None
-        assert np.array_equal(load_matrix(p).values, m.values)
+        assert load_matrix(p).values == m.values
 
     def test_unknown_format_rejected(self, internship):
         m = distance_matrix(internship)
@@ -207,7 +206,14 @@ class TestMatrixIO:
         ("\ta\tb\na\t0\tx\nb\t0.5\t0\n", "tsv"),
         ('{"names": ["a", "b"], "values": [[0, "x"], [0.5, 0]]}', "json"),
         ("\ta\tb\na\t0\t0.5\nb\t0.5\n", "tsv"),  # ragged body
+        ("\ta\tb\na\t0\t0.5\t1\nb\t0.5\t0\n", "tsv"),  # a row too long
         ('{"names": ["a"], "values": [[0]]', "json"),  # truncated JSON
+        ('{"names": ["a", "b"], "values": [[0, 0.5], [0.5]]}', "json"),  # ragged body
+        ('{"names": ["a"], "values": [[0], [0]]}', "json"),  # a row too many
+        ('{"names": [], "values": []}', "json"),  # no names
+        ("x\n", "tsv"),  # no names
+        pytest.param('{"names": ["a"], "values": [[1' + "0" * 400 + ']]}', "json",
+                     id="json-integer-beyond-float"),
     ])
     def test_non_numeric_or_unparsable_body_is_a_parse_error(self, text, fmt):
         with pytest.raises(ParseError):
@@ -241,7 +247,11 @@ class TestMatrixIO:
 
     def test_matrix_shape_guard(self):
         with pytest.raises(ValueError):
-            DistanceMatrix(("a",), np.zeros((2, 2)))
+            DistanceMatrix(("a",), [[0.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(ValueError):
+            DistanceMatrix(("a", "b"), [[0.0, 0.5], [0.5]])  # ragged rows
+        with pytest.raises(ValueError):
+            DistanceMatrix(("a",), [0.0])  # a scalar where a row belongs
 
 
 class TestFixtures:

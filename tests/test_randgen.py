@@ -1,7 +1,11 @@
 import pytest
 
+from catent import randgen
 from catent.model import induced_partition, is_coarser
 from catent.randgen import (
+    MAX_ALPHABET,
+    MAX_COLUMNS,
+    MAX_ROWS,
     MODES,
     ConfigError,
     GenConfig,
@@ -68,6 +72,13 @@ class TestGenConfig:
         with pytest.raises(ConfigError):
             GenConfig(alphabet_size=(3, 1))
 
+    def test_size_caps(self):
+        GenConfig(rows=(1, MAX_ROWS), alphabet_size=(1, MAX_ALPHABET))
+        with pytest.raises(ConfigError, match="rows upper bound"):
+            GenConfig(rows=(2, MAX_ROWS + 1))
+        with pytest.raises(ConfigError, match="alphabet_size upper bound"):
+            GenConfig(alphabet_size=(1, MAX_ALPHABET + 1))
+
     def test_rejects_unknown_mode(self):
         with pytest.raises(ConfigError):
             GenConfig(correlation_mode="chaotic")
@@ -108,6 +119,16 @@ class TestGenDataset:
     def test_rejects_zero_columns(self):
         with pytest.raises(ConfigError):
             gen_dataset(GenConfig(), 0)
+
+    def test_column_cap_is_checked_before_drawing(self, monkeypatch):
+        assert len(gen_dataset(GenConfig(rows=(2, 2)), MAX_COLUMNS).names) == MAX_COLUMNS
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a stream was started")
+
+        monkeypatch.setattr(randgen, "SplitMix64", refuse)
+        with pytest.raises(ConfigError, match="columns"):
+            gen_dataset(GenConfig(), MAX_COLUMNS + 1)
 
     def test_refined_mode_orders_first_two_columns(self):
         for seed in range(25):
