@@ -19,7 +19,6 @@ import functools
 from .model import (
     CategoricalVariable,
     Dataset,
-    JointVariable,
     StructuralError,
     induced_partition,
     join,
@@ -30,7 +29,7 @@ from .metric import AxiomReport, _Gauge, instances
 
 def joint(
     a: CategoricalVariable, b: CategoricalVariable, dataset: Dataset
-) -> JointVariable:
+) -> CategoricalVariable:
     """Row-wise pairing of two columns: label ``(a[r], b[r])`` at row r.
 
     The result's partition is exactly ``join`` of the inputs'
@@ -38,11 +37,7 @@ def joint(
     """
     if len(a) != dataset.row_count or len(b) != dataset.row_count:
         raise StructuralError("variables must have one label per dataset row")
-    return JointVariable(
-        name=f"({a.name}*{b.name})",
-        labels=tuple(zip(a.labels, b.labels)),
-        parents=(a.name, b.name),
-    )
+    return CategoricalVariable(f"({a.name}*{b.name})", tuple(zip(a.labels, b.labels)))
 
 
 def identity_variable(dataset: Dataset, name: str = "constant") -> CategoricalVariable:
@@ -93,7 +88,7 @@ def check_monoid_laws(
     const = identity_variable(dataset)
 
     @functools.cache  # keyed by the ordered pair: x*y and y*x stay two joints
-    def jv(a: str, b: str) -> JointVariable:
+    def jv(a: str, b: str) -> CategoricalVariable:
         return joint(dataset[a], dataset[b], dataset)
 
     g_assoc = _Gauge("associativity")

@@ -30,6 +30,7 @@ from .entropy import (
 from .ingest import CsvSpec, IngestError, load_csv, save_csv, save_matrix
 from .metric import (
     MAX_DEMO_STEPS,
+    AxiomReport,
     check_distance_axioms,
     check_similarity_axioms,
     distance_matrix,
@@ -82,9 +83,10 @@ def _cmd_su(args) -> int:
         ratio = _fmt(entropic_ratio(x, y), args.full)
     except UndefinedRatioError:
         ratio = "undefined"
+    su = symmetric_uncertainty(x, y)
     rows = [
-        ("SU", _fmt(symmetric_uncertainty(x, y), args.full)),
-        ("distance", _fmt(1.0 - symmetric_uncertainty(x, y), args.full)),
+        ("SU", _fmt(su, args.full)),
+        ("distance", _fmt(1.0 - su, args.full)),
         ("entropic_ratio", ratio),
         ("MI", _fmt(mutual_information(x, y), args.full)),
         (f"H({args.a})", _fmt(entropy(x), args.full)),
@@ -208,8 +210,7 @@ class _Usage(Exception):
     pass
 
 
-def _finish_checks(reports, failures) -> int:
-    merged = merge_reports(reports)
+def _finish_checks(merged, failures) -> int:
     print(merged.summary())
     if merged.passed:
         print("overall: PASS")
@@ -237,12 +238,12 @@ def _monoid_reports(dataset, args):
 
 def _cmd_check(validators, args) -> int:
     """Run a command's validators on every dataset under test."""
-    reports, failures = [], []
+    merged, failures = AxiomReport(()), []  # folded as reports arrive: memory stays flat
     for tag, dataset in _datasets_under_test(args):
         for report in validators(dataset, args):
-            reports.append(report)
+            merged = merge_reports((merged, report))
             failures.extend((tag, c) for c in report.failures())
-    return _finish_checks(reports, failures)
+    return _finish_checks(merged, failures)
 
 
 def _cmd_check_lemma2(args) -> int:

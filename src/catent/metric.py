@@ -42,7 +42,6 @@ from .model import (
     CategoricalVariable,
     Dataset,
     Partition,
-    canonical_classes,
     induced_partition,
 )
 from .entropy import TOLERANCE, _su, entropy, symmetric_uncertainty
@@ -277,7 +276,8 @@ def check_similarity_axioms(
     self-similarity ``SU(x,x) >= 0``; dominance ``SU(x,x) >= SU(x,y)``;
     the triangle-style bound ``SU(x,y) + SU(y,z) <= SU(x,z) + SU(y,y)``;
     value range ``0 <= SU <= 1``; and maximality exactly on
-    indiscernible pairs (``SU = 1`` iff equal canonical class).
+    indiscernible pairs (``SU = 1`` iff equal induced partitions, which
+    on one dataset is equality of canonical classes).
 
     All conditions except the triangle bound are theorems and can only
     fail through an implementation fault; the triangle bound is a
@@ -291,7 +291,6 @@ def check_similarity_axioms(
     names = list(dataset.names)
     parts = {nm: induced_partition(dataset[nm], dataset) for nm in names}
     hs = {nm: entropy(p) for nm, p in parts.items()}
-    classes = canonical_classes(dataset)
 
     triple_list = instances(names, 3, triples, seed)
     seen = {(a, b) for x, y, z in triple_list for a, b in ((x, y), (y, z), (x, z))}
@@ -321,7 +320,7 @@ def check_similarity_axioms(
         if frozenset((a, b)) not in done_unordered:
             done_unordered.add(frozenset((a, b)))
             g_symmetry.add(-abs(v - su(b, a)), (a, b), lhs=v, rhs=su(b, a))
-        if classes[a] == classes[b]:
+        if parts[a] == parts[b]:
             g_max_equal.add(-(1.0 - v), (a, b), lhs=v, rhs=1.0)
         else:
             g_max_only.add(1.0 - v, (a, b), lhs=v, rhs=1.0)

@@ -84,10 +84,6 @@ class CategoricalVariable:
             vars(self)["alphabet"] = alphabet  # seeds the cached property
         object.__setattr__(self, "labels", labels)
 
-    @classmethod
-    def from_labels(cls, name: str, labels: Iterable[Label]) -> "CategoricalVariable":
-        return cls(name, tuple(labels))
-
     @cached_property
     def alphabet(self) -> tuple[Label, ...]:
         """Distinct labels in first-occurrence order."""
@@ -101,23 +97,6 @@ class CategoricalVariable:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-
-@dataclass(frozen=True)
-class JointVariable(CategoricalVariable):
-    """A column whose labels are pairs built row-wise from two parents.
-
-    Constructed by ``catent.algebra.joint``; behaves exactly like any
-    other ``CategoricalVariable`` everywhere else.
-    """
-
-    parents: tuple[str, str] = field(kw_only=True)
-
-
-ColumnsLike = Union[
-    Mapping[str, Union[CategoricalVariable, Sequence[Label]]],
-    Iterable[CategoricalVariable],
-]
 
 
 @dataclass(frozen=True)
@@ -164,25 +143,19 @@ class Dataset:
     @classmethod
     def from_columns(
         cls,
-        columns: ColumnsLike,
+        columns: Mapping[str, Union[CategoricalVariable, Sequence[Label]]],
         row_weights: Sequence[Union[Fraction, int]] | None = None,
     ) -> "Dataset":
-        """Build a dataset from variables or from ``name -> labels`` mappings.
+        """Build a dataset from a ``name -> variable or labels`` mapping.
 
         With ``row_weights=None`` every row gets weight ``1/n``.
         """
-        if isinstance(columns, Mapping):
-            vars_ = {}
-            for name, value in columns.items():
-                if isinstance(value, CategoricalVariable):
-                    vars_[name] = value
-                else:
-                    vars_[name] = CategoricalVariable(name, tuple(value))
-        else:
-            listed = list(columns)
-            vars_ = {v.name: v for v in listed}
-            if len(vars_) != len(listed):
-                raise StructuralError("duplicate column names")
+        vars_ = {}
+        for name, value in columns.items():
+            if isinstance(value, CategoricalVariable):
+                vars_[name] = value
+            else:
+                vars_[name] = CategoricalVariable(name, tuple(value))
         if not vars_:
             raise StructuralError("dataset needs at least one column")
         n = len(next(iter(vars_.values())))
@@ -221,8 +194,8 @@ class Partition:
     row weights.  ``blocks`` and ``block_probs`` are derived views.  The
     row weights travel with the partition so that two partitions compare
     equal only when they carve up the same weighted universe the same
-    way.  ``Partition(blocks, block_probs, row_weights)`` validates its
-    arguments; the kernels build partitions from codes directly.
+    way.  Partitions come only from ``induced_partition``, ``join`` and
+    ``trivial_partition``; calling ``Partition`` raises ``TypeError``.
     """
 
     codes: tuple[int, ...]
@@ -231,43 +204,8 @@ class Partition:
     row_weights: tuple[Fraction, ...] = field(repr=False)
     multiplicities: tuple[int, ...] | None = field(repr=False, compare=False)
 
-    def __init__(self, blocks, block_probs, row_weights):
-        blocks, weights = tuple(blocks), tuple(Fraction(w) for w in row_weights)
-        n = len(weights)
-        if not blocks:
-            raise StructuralError("partition has no blocks")
-        if any(not b for b in blocks):
-            raise StructuralError("partition blocks must be nonempty")
-        total = sum(len(b) for b in blocks)
-        covered = frozenset().union(*blocks)
-        if total != n or covered != frozenset(range(n)):
-            raise StructuralError("blocks must exactly cover the row indices")
-        mins = [min(b) for b in blocks]
-        if mins != sorted(mins):
-            raise StructuralError("blocks must be ordered by smallest row index")
-        if len(block_probs) != len(blocks):
-            raise StructuralError("one probability per block required")
-        owner = {r: b for b, block in enumerate(blocks) for r in block}
-        self._fill(tuple(map(owner.__getitem__, range(n))), weights, *_integer_weights(weights))
-        if self.block_probs != tuple(block_probs):
-            raise StructuralError("block probability does not match row weights")
-
-    def _fill(self, codes, row_weights, scale, multiplicities, counts=None):
-        if counts is None:
-            counts = tuple(_tally(codes, multiplicities).values())
-        vars(self).update(codes=codes, counts=counts, scale=scale,
-                          row_weights=row_weights, multiplicities=multiplicities)
-
-    @classmethod
-    def from_blocks(
-        cls,
-        blocks: Iterable[Iterable[int]],
-        row_weights: Sequence[Fraction],
-    ) -> "Partition":
-        weights = tuple(Fraction(w) for w in row_weights)
-        ordered = tuple(sorted((frozenset(b) for b in blocks), key=min))
-        probs = tuple(sum(weights[i] for i in b) for b in ordered)
-        return cls(ordered, probs, weights)
+    def __init__(self, *args, **kwargs):
+        raise TypeError("partitions come from induced_partition, join or trivial_partition")
 
     @cached_property
     def blocks(self) -> tuple[frozenset[int], ...]:
@@ -284,15 +222,15 @@ class Partition:
     def n_blocks(self) -> int:
         return len(self.counts)
 
-    @property
-    def universe_size(self) -> int:
-        return len(self.codes)
-
 
 def _on_rows(codes: tuple[int, ...], rows, counts=None) -> Partition:
-    # first-occurrence block codes on the weighted rows of a Dataset or Partition
+    # first-occurrence block codes on the weighted rows of a Dataset or Partition;
+    # the one place a Partition is built, tallying the block masses unless given
+    if counts is None:
+        counts = tuple(_tally(codes, rows.multiplicities).values())
     p = object.__new__(Partition)
-    p._fill(codes, rows.row_weights, rows.scale, rows.multiplicities, counts)
+    vars(p).update(codes=codes, counts=counts, scale=rows.scale,
+                   row_weights=rows.row_weights, multiplicities=rows.multiplicities)
     return p
 
 

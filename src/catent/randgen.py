@@ -31,6 +31,8 @@ MODES = ("independent", "refined", "noisy-copy", "arbitrary")
 MAX_ROWS = 1 << 21
 MAX_ALPHABET = 1 << 21
 MAX_COLUMNS = 1000
+# and on rows x columns: the nondiscreteness demo's largest dataset, 2 columns x 2 Mi rows
+MAX_CELLS = 1 << 22
 
 
 class ConfigError(CatentError, ValueError):
@@ -115,11 +117,14 @@ def gen_dataset(config: GenConfig, columns: int) -> Dataset:
     """Generate a uniform-weight dataset with the given column count.
 
     Column names are ``c0, c1, ...``; ``columns`` must lie in
-    ``1..MAX_COLUMNS``.  The output is a pure function of
+    ``1..MAX_COLUMNS``, and the largest row count times ``columns`` must
+    not exceed ``MAX_CELLS``.  The output is a pure function of
     ``(config, columns)``.
     """
     if not 1 <= columns <= MAX_COLUMNS:
         raise ConfigError(f"columns must lie in 1..{MAX_COLUMNS}, got {columns}")
+    if config.rows[1] * columns > MAX_CELLS:
+        raise ConfigError(f"{config.rows[1]} rows x {columns} columns exceed {MAX_CELLS} cells")
     rng = SplitMix64(config.seed)
     n = rng.randint(*config.rows)
 

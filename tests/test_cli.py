@@ -9,12 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from catent import randgen
+from catent import cli, randgen
 from catent.cli import MAX_RANDOM, main
 from catent.ingest import INTERNSHIP, fixture_path
 from catent.metric import MAX_DEMO_STEPS
 from catent.model import Dataset
-from catent.randgen import MAX_ALPHABET, MAX_COLUMNS, MAX_ROWS
+from catent.randgen import MAX_ALPHABET, MAX_CELLS, MAX_COLUMNS, MAX_ROWS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -235,7 +235,9 @@ class TestGenerationCaps:
         ("--random", "1", "--rows", "2", str(MAX_ROWS + 1)),
         ("--random", "1", "--alphabet", "1", str(MAX_ALPHABET + 1)),
         ("--random", "1", "--columns", str(MAX_COLUMNS + 1)),
-    ], ids=["random", "rows", "alphabet", "columns"])
+        ("--random", "1", "--rows", "2", str(MAX_ROWS),
+         "--columns", str(MAX_CELLS // MAX_ROWS + 1)),
+    ], ids=["random", "rows", "alphabet", "columns", "cells"])
     def test_oversized_generation_is_bad_input(self, capsys, monkeypatch, command, flags):
         def refuse(*args, **kwargs):
             raise AssertionError("generation started")
@@ -290,6 +292,20 @@ class TestCheckMetric:
         code, out, _ = run_cli(capsys, "check-metric", FIXTURE, "--triples", "50")
         assert code == 0
         assert "instances=50" in out
+
+    def test_reports_are_folded_as_they_arrive(self, capsys, monkeypatch):
+        real, sizes = cli.merge_reports, []
+
+        def recording(reports):
+            reports = tuple(reports)
+            sizes.append(len(reports))
+            return real(reports)
+
+        monkeypatch.setattr(cli, "merge_reports", recording)
+        code, out, _ = run_cli(capsys, "check-metric", "--random", "50")
+        assert code in (0, 1) and out.endswith(("overall: PASS\n", "overall: FAIL\n"))
+        assert len(sizes) == 100  # two validators per dataset
+        assert max(sizes) <= 2
 
 
 class TestCheckMonoid:

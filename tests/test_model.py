@@ -134,29 +134,11 @@ class TestInducedPartition:
             assert sum(p.block_probs) == 1
 
 
-class TestPartitionValidation:
-    def test_direct_construction_checks_cover(self):
-        w = (Fraction(1, 2), Fraction(1, 2))
-        with pytest.raises(StructuralError):
-            Partition((frozenset({0}),), (Fraction(1, 2),), w)
-
-    def test_direct_construction_checks_order(self):
-        w = (Fraction(1, 2), Fraction(1, 2))
-        with pytest.raises(StructuralError):
-            Partition(
-                (frozenset({1}), frozenset({0})),
-                (Fraction(1, 2), Fraction(1, 2)),
-                w,
-            )
-
-    def test_direct_construction_checks_probs(self):
-        w = (Fraction(1, 2), Fraction(1, 2))
-        with pytest.raises(StructuralError):
-            Partition(
-                (frozenset({0}), frozenset({1})),
-                (Fraction(1, 4), Fraction(3, 4)),
-                w,
-            )
+class TestPartitionConstruction:
+    @pytest.mark.parametrize("args", [(), ((frozenset({0}),), (Fraction(1),), (Fraction(1),))])
+    def test_direct_construction_is_refused(self, args):
+        with pytest.raises(TypeError):
+            Partition(*args)
 
 
 class TestJoin:

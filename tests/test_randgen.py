@@ -4,6 +4,7 @@ from catent import randgen
 from catent.model import induced_partition, is_coarser
 from catent.randgen import (
     MAX_ALPHABET,
+    MAX_CELLS,
     MAX_COLUMNS,
     MAX_ROWS,
     MODES,
@@ -129,6 +130,24 @@ class TestGenDataset:
         monkeypatch.setattr(randgen, "SplitMix64", refuse)
         with pytest.raises(ConfigError, match="columns"):
             gen_dataset(GenConfig(), MAX_COLUMNS + 1)
+
+    def test_cell_cap_is_checked_before_drawing(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(randgen, "SplitMix64", reached)
+        # exactly MAX_CELLS cells passes the check and reaches the generator
+        with pytest.raises(Reached):
+            gen_dataset(GenConfig(rows=(1, MAX_ROWS)), MAX_CELLS // MAX_ROWS)
+        with pytest.raises(Reached):
+            gen_dataset(GenConfig(rows=(1, MAX_CELLS // MAX_COLUMNS)), MAX_COLUMNS)
+        for rows, columns in ((MAX_ROWS, MAX_CELLS // MAX_ROWS + 1),
+                              (MAX_CELLS // MAX_COLUMNS + 1, MAX_COLUMNS)):
+            with pytest.raises(ConfigError, match="cells"):
+                gen_dataset(GenConfig(rows=(1, rows)), columns)
 
     def test_refined_mode_orders_first_two_columns(self):
         for seed in range(25):

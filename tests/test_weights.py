@@ -18,12 +18,12 @@ from catent.algebra import relabel
 from catent.entropy import conditional_entropy, entropy, symmetric_uncertainty
 from catent.model import (
     Dataset,
-    Partition,
     canonical_class,
     contingency,
     induced_partition,
     is_coarser,
     join,
+    trivial_partition,
 )
 
 import oracle
@@ -65,8 +65,8 @@ def test_equal_partitions_hash_equal(case):
     for nm in d.names:
         p = induced_partition(d[nm], d)
         for twin in (
-            Partition(p.blocks, p.block_probs, d.row_weights),
-            Partition.from_blocks(reversed(p.blocks), d.row_weights),
+            join(p, p),
+            join(p, trivial_partition(d)),
             induced_partition(relabel(d[nm]), d),
         ):
             assert twin == p
