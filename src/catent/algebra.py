@@ -24,7 +24,7 @@ from .model import (
     join,
 )
 from .entropy import TOLERANCE, _su, entropy
-from .metric import AxiomReport, _Gauge, instances
+from .metric import AxiomReport, _Gauge, _report, instances
 
 
 def joint(
@@ -91,10 +91,10 @@ def check_monoid_laws(
     def jv(a: str, b: str) -> CategoricalVariable:
         return joint(dataset[a], dataset[b], dataset)
 
-    g_assoc = _Gauge("associativity")
-    g_commut = _Gauge("commutativity")
-    g_ident = _Gauge("identity_element")
-    g_well = _Gauge("well_definedness")
+    g_assoc = _Gauge("associativity", 0.0)
+    g_commut = _Gauge("commutativity", 0.0)
+    g_ident = _Gauge("identity_element", 0.0)
+    g_well = _Gauge("well_definedness", 0.0)
 
     def verdict(equal: bool) -> float:
         # exact laws: margin 0 on success, -inf on a counterexample
@@ -121,14 +121,7 @@ def check_monoid_laws(
             singles_done.add(nx)
             g_ident.add(verdict(joint(x, const, dataset).codes == x.codes), (nx,))
 
-    return AxiomReport(
-        (
-            g_assoc.finish(0.0),
-            g_commut.finish(0.0),
-            g_ident.finish(0.0),
-            g_well.finish(0.0),
-        )
-    )
+    return _report(g_assoc, g_commut, g_ident, g_well)
 
 
 def check_contractivity(
@@ -172,10 +165,10 @@ def check_contractivity(
             joint_cache[key] = 1.0 - _su(j1, j2, h1, h2)
         return joint_cache[key]
 
-    g = _Gauge("contractivity")
+    g = _Gauge("contractivity", -tol)
     for nx, ny, nz, nw in quad_list:
         lhs = joint_d((nx, ny), (nz, nw))
         rhs = base_d(nx, nz) + base_d(ny, nw)
         g.add(rhs - lhs, (nx, ny, nz, nw), lhs=lhs, rhs=rhs)
 
-    return AxiomReport((g.finish(-tol),))
+    return _report(g)

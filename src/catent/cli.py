@@ -19,7 +19,6 @@ from pathlib import Path
 from .algebra import check_contractivity, check_monoid_laws, joint
 from .entropy import (
     UndefinedRatioError,
-    check_conditional_entropy_laws,
     conditional_entropy,
     entropic_ratio,
     entropy,
@@ -32,9 +31,9 @@ from .metric import (
     MAX_DEMO_STEPS,
     AxiomReport,
     check_distance_axioms,
+    check_entropy_laws,
     check_similarity_axioms,
     distance_matrix,
-    instances,
     merge_reports,
     nondiscreteness_demo,
 )
@@ -210,19 +209,6 @@ class _Usage(Exception):
     pass
 
 
-def _finish_checks(merged, failures) -> int:
-    print(merged.summary())
-    if merged.passed:
-        print("overall: PASS")
-        return 0
-    for tag, check in failures:
-        witness = ",".join(check.witness) if check.witness else "?"
-        print(f"violation in dataset[{tag}] {check.name}: witness={witness} "
-              f"lhs={check.lhs!r} rhs={check.rhs!r}")
-    print("overall: FAIL")
-    return 1
-
-
 def _metric_reports(dataset, args):
     yield check_similarity_axioms(dataset, triples=args.triples, seed=args.seed)
     yield check_distance_axioms(
@@ -236,41 +222,34 @@ def _monoid_reports(dataset, args):
     yield check_contractivity(dataset, quadruples=args.quadruples, seed=args.seed)
 
 
-def _cmd_check(validators, args) -> int:
-    """Run a command's validators on every dataset under test."""
+def _lemma_reports(dataset, args):
+    yield check_entropy_laws(dataset, triples=args.triples, seed=args.seed)
+
+
+def _law_tally(report) -> str:
+    width = max(len(c.name) for c in report.checks)
+    return "\n".join(
+        f"{c.name:<{width}}  checked={c.instances} nonvacuous={c.nonvacuous} "
+        f"failures={c.violations}"
+        for c in report.checks
+    )
+
+
+def _cmd_check(validators, summary, args) -> int:
+    """Run a command's validators on every dataset under test; print with ``summary``."""
     merged, failures = AxiomReport(()), []  # folded as reports arrive: memory stays flat
     for tag, dataset in _datasets_under_test(args):
         for report in validators(dataset, args):
             merged = merge_reports((merged, report))
             failures.extend((tag, c) for c in report.failures())
-    return _finish_checks(merged, failures)
-
-
-def _cmd_check_lemma2(args) -> int:
-    totals: dict[str, list[int]] = {}  # name -> [checked, nonvacuous, failures]
-    first_failure = None
-    for tag, dataset in _datasets_under_test(args):
-        names = dataset.names
-        parts = {nm: induced_partition(dataset[nm], dataset) for nm in names}
-        for nx, ny, nz in instances(names, 3, args.triples, args.seed):
-            report = check_conditional_entropy_laws(parts[nx], parts[ny], parts[nz])
-            for clause in report.clauses:
-                tally = totals.setdefault(clause.name, [0, 0, 0])
-                tally[0] += 1
-                tally[1] += 0 if clause.vacuous else 1
-                if not clause.passed:
-                    tally[2] += 1
-                    if first_failure is None:
-                        first_failure = (tag, (nx, ny, nz), clause)
-    width = max(len(name) for name in totals)
-    for name, (checked, nonvac, fails) in totals.items():
-        print(f"{name:<{width}}  checked={checked} nonvacuous={nonvac} failures={fails}")
-    if first_failure is None:
+    print(summary(merged))
+    if merged.passed:
         print("overall: PASS")
         return 0
-    tag, triple, clause = first_failure
-    print(f"violation in dataset[{tag}] {clause.name}: witness={','.join(triple)} "
-          f"gap={clause.gap!r}")
+    for tag, check in failures:
+        witness = ",".join(check.witness) if check.witness else "?"
+        print(f"violation in dataset[{tag}] {check.name}: witness={witness} "
+              f"lhs={check.lhs!r} rhs={check.rhs!r}")
     print("overall: FAIL")
     return 1
 
@@ -335,11 +314,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for command, help_text, func in (
         ("check-metric", "validate similarity conditions and metric axioms",
-         partial(_cmd_check, _metric_reports)),
+         partial(_cmd_check, _metric_reports, AxiomReport.summary)),
         ("check-monoid", "validate monoid laws and contractivity of the joint",
-         partial(_cmd_check, _monoid_reports)),
+         partial(_cmd_check, _monoid_reports, AxiomReport.summary)),
         ("check-lemma2", "validate the conditional-entropy laws on column triples",
-         _cmd_check_lemma2),
+         partial(_cmd_check, _lemma_reports, _law_tally)),
     ):
         p = sub.add_parser(command, help=help_text)
         add_io(p, with_data=False)

@@ -199,6 +199,30 @@ class LawReport:
         return tuple(c for c in self.clauses if not c.passed)
 
 
+# the laws in the order every report lists them
+LAWS = ("chain_rule", "coarsening_monotone", "zero_iff_coarser",
+        "join_raises_entropy", "conditioning_reduces")
+
+
+def _law_gaps(x, y, z, cond, jn, coarser, h, tol: float) -> tuple:
+    """Gap of each law in ``LAWS`` on one triple; ``None`` where vacuous.
+
+    The operands and the kernels ``cond(a, b) = H(a | b)``,
+    ``jn(a, b) = a v b``, ``coarser(a, b)`` and ``h(a) = H(a)`` come
+    from the caller, which may evaluate them directly or through memos.
+    A law holds when its gap is at most ``tol``.
+    """
+    xy = jn(x, y)
+    h_x_y, h_x_z = cond(x, y), cond(x, z)
+    chain = abs(cond(xy, z) - (h_x_z + cond(y, jn(x, z))))
+    coarse, zero = coarser(x, y), h_x_y <= tol
+    monotone = max(h_x_z - cond(y, z), cond(z, y) - cond(z, x), 0.0) if coarse else None
+    iff = (0.0 if zero else h_x_y) if coarse else (math.inf if zero else None)
+    h_x_yz = cond(x, jn(y, z))
+    reduces = max(h_x_yz - h_x_y, h_x_yz - h_x_z, 0.0)
+    return chain, monotone, iff, max(h(x) - h(xy), 0.0), reduces
+
+
 def check_conditional_entropy_laws(
     x: Partition, y: Partition, z: Partition, tol: float = TOLERANCE
 ) -> LawReport:
@@ -216,50 +240,16 @@ def check_conditional_entropy_laws(
     * ``join_raises_entropy``: ``H(x) <= H(x v y)``.
     * ``conditioning_reduces``: ``H(x | y v z)`` is at most ``H(x | y)``
       and at most ``H(x | z)``.
+
+    ``catent.metric.check_entropy_laws`` runs the same laws over the
+    column triples of a dataset.
     """
     ensure_same_universe(x, y)
     ensure_same_universe(x, z)
-    xy = join(x, y)
-    xz = join(x, z)
-    yz = join(y, z)
-
-    clauses = []
-
-    h_x_given_y = conditional_entropy(x, y)
-    h_x_given_z = conditional_entropy(x, z)
-    lhs = conditional_entropy(xy, z)
-    rhs = h_x_given_z + conditional_entropy(y, xz)
-    gap = abs(lhs - rhs)
-    clauses.append(LawClause("chain_rule", gap <= tol, False, gap))
-
-    coarser = is_coarser(x, y)
-    if coarser:
-        gap_fwd = max(h_x_given_z - conditional_entropy(y, z), 0.0)
-        gap_rev = max(conditional_entropy(z, y) - conditional_entropy(z, x), 0.0)
-        gap = max(gap_fwd, gap_rev)
-        clauses.append(LawClause("coarsening_monotone", gap <= tol, False, gap))
-    else:
-        clauses.append(LawClause("coarsening_monotone", True, True, 0.0))
-
-    zero = h_x_given_y <= tol
-    if coarser and not zero:
-        clauses.append(LawClause("zero_iff_coarser", False, False, h_x_given_y))
-    elif zero and not coarser:
-        clauses.append(LawClause("zero_iff_coarser", False, False, math.inf))
-    else:
-        clauses.append(
-            LawClause("zero_iff_coarser", True, not (coarser or zero), 0.0)
+    gaps = _law_gaps(x, y, z, conditional_entropy, join, is_coarser, entropy, tol)
+    return LawReport(
+        tuple(
+            LawClause(name, gap is None or gap <= tol, gap is None, 0.0 if gap is None else gap)
+            for name, gap in zip(LAWS, gaps)
         )
-
-    gap = max(entropy(x) - entropy(xy), 0.0)
-    clauses.append(LawClause("join_raises_entropy", gap <= tol, False, gap))
-
-    h_x_given_yz = conditional_entropy(x, yz)
-    gap = max(
-        h_x_given_yz - h_x_given_y,
-        h_x_given_yz - h_x_given_z,
-        0.0,
     )
-    clauses.append(LawClause("conditioning_reduces", gap <= tol, False, gap))
-
-    return LawReport(tuple(clauses))

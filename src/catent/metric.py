@@ -26,15 +26,15 @@ Every validator checks ordered tuples of column names, enumerated by
 Reports use a uniform slack convention: every instance of an axiom is
 reduced to a margin that must stay nonnegative (inequalities:
 ``rhs - lhs``; equalities: ``-|a - b|``), the worst (smallest) margin
-and its witness are kept, and the axiom passes when the worst margin
-clears the tolerance.  A failed check therefore always carries a
-concrete witness reproducing the violation.
+and its witness are kept, every margin short of the tolerance counts as
+a violation, and the axiom passes when there is none.  A failed check
+therefore always carries a concrete witness reproducing the violation.
 """
 
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 from .model import (
@@ -43,8 +43,18 @@ from .model import (
     Dataset,
     Partition,
     induced_partition,
+    is_coarser,
+    join,
 )
-from .entropy import TOLERANCE, _su, entropy, symmetric_uncertainty
+from .entropy import (
+    LAWS,
+    TOLERANCE,
+    _law_gaps,
+    _su,
+    conditional_entropy,
+    entropy,
+    symmetric_uncertainty,
+)
 from .randgen import SplitMix64
 
 # past this many columns, exhaustive enumeration of instances gives way to sampling
@@ -90,6 +100,8 @@ class DistanceMatrix:
             raise ValueError("values must be one row of numbers per name") from exc
         if len(rows) != len(self.names) or any(len(row) != len(self.names) for row in rows):
             raise ValueError("matrix shape must match the name list")
+        if len(set(self.names)) != len(self.names):
+            raise ValueError(f"duplicate matrix names: {list(self.names)}")
         object.__setattr__(self, "values", rows)
 
     def value(self, a: str, b: str) -> float:
@@ -124,18 +136,26 @@ def distance_matrix(dataset: Dataset, subset: Sequence[str] | None = None) -> Di
 class AxiomCheck:
     """Result of one axiom over a set of instances.
 
-    ``worst_slack`` is the smallest margin observed (``inf`` when the
-    axiom had no instances); ``witness`` names the instance attaining
-    it, with the two sides of the comparison in ``lhs``/``rhs``.
+    ``nonvacuous`` counts the instances whose hypothesis fired (all but
+    the vacuous ones of conditional laws) and ``violations`` those whose
+    margin fell short: the axiom passes when there is none.
+    ``worst_slack`` is the smallest margin observed (``inf`` when none
+    was); ``witness`` names the instance attaining it, with the two sides
+    of the comparison in ``lhs``/``rhs``.
     """
 
     name: str
-    passed: bool
     instances: int
+    nonvacuous: int
+    violations: int
     worst_slack: float
     witness: tuple[str, ...] | None
     lhs: float | None
     rhs: float | None
+
+    @property
+    def passed(self) -> bool:
+        return self.violations == 0
 
 
 @dataclass(frozen=True)
@@ -173,64 +193,47 @@ class AxiomReport:
 
 
 class _Gauge:
-    """Accumulates margins for one axiom and keeps the worst instance."""
+    """Accumulates margins for one axiom and keeps the worst instance; a
+    margin below ``threshold`` (with ``strict``, not above it) is a violation."""
 
-    def __init__(self, name: str):
-        self.name = name
-        self.count = 0
-        self.worst = math.inf
-        self.witness: tuple[str, ...] | None = None
-        self.lhs: float | None = None
-        self.rhs: float | None = None
+    def __init__(self, name: str, threshold: float, strict: bool = False):
+        self.name, self.threshold, self.strict = name, threshold, strict
+        self.count = self.nonvacuous = self.violations = 0
+        self.worst, self.witness, self.lhs, self.rhs = math.inf, None, None, None
 
-    def add(
-        self,
-        margin: float,
-        witness: tuple[str, ...],
-        lhs: float | None = None,
-        rhs: float | None = None,
-    ) -> None:
+    def add(self, margin: float, witness: tuple[str, ...], lhs=None, rhs=None) -> None:
         self.count += 1
+        self.nonvacuous += 1
+        if margin <= self.threshold if self.strict else margin < self.threshold:
+            self.violations += 1
         if margin < self.worst:
-            self.worst = margin
-            self.witness = witness
-            self.lhs = lhs
-            self.rhs = rhs
+            self.worst, self.witness, self.lhs, self.rhs = margin, witness, lhs, rhs
 
-    def finish(self, threshold: float, strict: bool = False) -> AxiomCheck:
-        if self.count == 0:
-            passed = True
-        elif strict:
-            passed = self.worst > threshold
-        else:
-            passed = self.worst >= threshold
-        return AxiomCheck(
-            self.name, passed, self.count, self.worst, self.witness, self.lhs, self.rhs
-        )
+    def skip(self) -> None:
+        """Count an instance whose hypothesis did not fire: it has no margin."""
+        self.count += 1
+
+
+def _report(*gauges: _Gauge) -> AxiomReport:
+    return AxiomReport(tuple(
+        AxiomCheck(g.name, g.count, g.nonvacuous, g.violations, g.worst, g.witness, g.lhs, g.rhs)
+        for g in gauges
+    ))
 
 
 def merge_reports(reports: Iterable[AxiomReport]) -> AxiomReport:
-    """Combine same-shaped reports: instances add, worst witness wins."""
-    merged: dict[str, AxiomCheck] = {}
-    order: list[str] = []
+    """Combine same-shaped reports: counts add, worst witness wins."""
+    merged: dict[str, AxiomCheck] = {}  # in order of first appearance
     for report in reports:
         for c in report.checks:
-            if c.name not in merged:
-                merged[c.name] = c
-                order.append(c.name)
-                continue
-            prev = merged[c.name]
-            keep = c if c.worst_slack < prev.worst_slack else prev
-            merged[c.name] = AxiomCheck(
-                c.name,
-                prev.passed and c.passed,
-                prev.instances + c.instances,
-                keep.worst_slack,
-                keep.witness,
-                keep.lhs,
-                keep.rhs,
+            prev = merged.get(c.name)
+            merged[c.name] = c if prev is None else replace(
+                c if c.worst_slack < prev.worst_slack else prev,
+                instances=prev.instances + c.instances,
+                nonvacuous=prev.nonvacuous + c.nonvacuous,
+                violations=prev.violations + c.violations,
             )
-    return AxiomReport(tuple(merged[name] for name in order))
+    return AxiomReport(tuple(merged.values()))
 
 
 def instances(
@@ -301,13 +304,13 @@ def check_similarity_axioms(
     def su(a: str, b: str) -> float:
         return _su(parts[a], parts[b], hs[a], hs[b])
 
-    g_symmetry = _Gauge("symmetry")
-    g_self_nonneg = _Gauge("self_similarity_nonnegative")
-    g_dominance = _Gauge("self_similarity_dominates")
-    g_triangle = _Gauge("triangle_bound")
-    g_range = _Gauge("value_range")
-    g_max_equal = _Gauge("max_on_indiscernible")
-    g_max_only = _Gauge("max_only_on_indiscernible")
+    g_symmetry = _Gauge("symmetry", -tol)
+    g_self_nonneg = _Gauge("self_similarity_nonnegative", -tol)
+    g_dominance = _Gauge("self_similarity_dominates", -tol)
+    g_triangle = _Gauge("triangle_bound", -tol)
+    g_range = _Gauge("value_range", -tol)
+    g_max_equal = _Gauge("max_on_indiscernible", -tol)
+    g_max_only = _Gauge("max_only_on_indiscernible", tol, strict=True)
 
     for nm in names:
         g_self_nonneg.add(su(nm, nm), (nm,), lhs=su(nm, nm), rhs=0.0)
@@ -330,16 +333,8 @@ def check_similarity_axioms(
         rhs = su(x, z) + su(y, y)
         g_triangle.add(rhs - lhs, (x, y, z), lhs=lhs, rhs=rhs)
 
-    return AxiomReport(
-        (
-            g_symmetry.finish(-tol),
-            g_self_nonneg.finish(-tol),
-            g_dominance.finish(-tol),
-            g_triangle.finish(-tol),
-            g_range.finish(-tol),
-            g_max_equal.finish(-tol),
-            g_max_only.finish(tol, strict=True),
-        )
+    return _report(
+        g_symmetry, g_self_nonneg, g_dominance, g_triangle, g_range, g_max_equal, g_max_only
     )
 
 
@@ -368,13 +363,13 @@ def check_distance_axioms(
     index, rows = {nm: names.index(nm) for nm in names}, matrix.values
     d = lambda a, b: rows[index[a]][index[b]]  # noqa: E731  (the floats of matrix.value)
 
-    g_nonneg = _Gauge("nonnegativity")
-    g_bounded = _Gauge("bounded_by_one")
-    g_symmetry = _Gauge("symmetry")
-    g_diag = _Gauge("zero_diagonal")
-    g_triangle = _Gauge("triangle_inequality")
-    g_zero_equal = _Gauge("zero_on_indiscernible")
-    g_zero_only = _Gauge("zero_only_on_indiscernible")
+    g_nonneg = _Gauge("nonnegativity", -tol)
+    g_bounded = _Gauge("bounded_by_one", -tol)
+    g_symmetry = _Gauge("symmetry", -tol)
+    g_diag = _Gauge("zero_diagonal", -tol)
+    g_triangle = _Gauge("triangle_inequality", -tol)
+    g_zero_equal = _Gauge("zero_on_indiscernible", -tol)
+    g_zero_only = _Gauge("zero_only_on_indiscernible", tol, strict=True)
 
     for i, a in enumerate(names):
         g_diag.add(-abs(d(a, a)), (a,), lhs=d(a, a), rhs=0.0)
@@ -393,17 +388,54 @@ def check_distance_axioms(
         rhs = d(x, y) + d(y, z)
         g_triangle.add(rhs - lhs, (x, y, z), lhs=lhs, rhs=rhs)
 
-    return AxiomReport(
-        (
-            g_nonneg.finish(-tol),
-            g_bounded.finish(-tol),
-            g_symmetry.finish(-tol),
-            g_diag.finish(-tol),
-            g_triangle.finish(-tol),
-            g_zero_equal.finish(-tol),
-            g_zero_only.finish(tol, strict=True),
-        )
+    return _report(
+        g_nonneg, g_bounded, g_symmetry, g_diag, g_triangle, g_zero_equal, g_zero_only
     )
+
+
+# ---------------------------------------------------------------------------
+# conditional-entropy laws over a dataset
+
+
+def check_entropy_laws(
+    dataset: Dataset, triples: int | None = None, seed: int = 0, tol: float = TOLERANCE
+) -> AxiomReport:
+    """The laws of ``catent.entropy.check_conditional_entropy_laws``, by the
+    same body, over the triples ``instances(names, 3, triples, seed)``.
+
+    Quantities of one or two columns are memoised by the ordered pair; only
+    ``H(x v y | z)``, ``H(y | x v z)`` and ``H(x | y v z)`` are computed per
+    triple.  Each law reports its gap as ``lhs`` against ``rhs`` 0; an
+    instance where a conditional law's hypothesis did not fire is vacuous.
+    """
+    names = dataset.names
+    parts = {nm: induced_partition(dataset[nm], dataset) for nm in names}
+
+    def jn(a: str, b: str) -> tuple[str, str]:  # a join is named by its ordered pair
+        return a, b
+
+    @functools.cache  # keyed by the ordered pair: x v y and y v x stay two joins
+    def part(key) -> Partition:
+        return parts[key] if isinstance(key, str) else join(parts[key[0]], parts[key[1]])
+
+    pair_cond = functools.cache(lambda a, b: conditional_entropy(parts[a], parts[b]))
+
+    def cond(a, b) -> float:
+        if isinstance(a, str) and isinstance(b, str):
+            return pair_cond(a, b)
+        return conditional_entropy(part(a), part(b))  # a join on one side: per triple
+
+    coarser = functools.cache(lambda a, b: is_coarser(parts[a], parts[b]))
+    h = functools.cache(lambda key: entropy(part(key)))
+    gauges = [_Gauge(name, -tol) for name in LAWS]
+    for triple in instances(names, 3, triples, seed):
+        gaps = _law_gaps(*triple, cond, jn, coarser, h, tol)
+        for gauge, gap in zip(gauges, gaps):
+            if gap is None:
+                gauge.skip()
+            else:
+                gauge.add(-gap, triple, lhs=gap, rhs=0.0)
+    return _report(*gauges)
 
 
 # ---------------------------------------------------------------------------

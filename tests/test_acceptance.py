@@ -109,10 +109,13 @@ def _triangle_margin(d, x, y, z):
 
 
 def _assert_triangle_verdict_faithful(reports, triangle, datasets, pair_value, margin):
-    """The checker's triangle verdicts, merged worst slack and witness all
-    match an exhaustive oracle recomputation on every dataset."""
+    """The checker's triangle verdicts, violation count, merged worst slack
+    and witness all match an exhaustive oracle recomputation on every dataset."""
     slacks = {tag: _oracle_slacks(ds, pair_value, margin) for tag, ds in datasets}
     worst = {tag: min(s.values()) for tag, s in slacks.items()}
+    violating = sum(v < -TOLERANCE for s in slacks.values() for v in s.values())
+    assert triangle.violations == violating
+    assert triangle.nonvacuous == triangle.instances == sum(map(len, slacks.values()))
     checker_says = {tag for tag, r in reports.items() if not r.check(triangle.name).passed}
     oracle_says = {tag for tag, w in worst.items() if w < -TOLERANCE}
     assert checker_says == oracle_says, sorted(checker_says ^ oracle_says, key=str)
@@ -239,6 +242,7 @@ def test_criterion_4_similarity_conditions(internship, population):
     # triangle-style bound is genuinely falsifiable
     for check in others:
         assert check.passed, merged.summary()
+        assert check.violations == 0 and check.nonvacuous == check.instances
     _assert_triangle_verdict_faithful(
         reports, triangle, datasets, oracle.oracle_su, _su_bound_margin
     )
@@ -268,6 +272,7 @@ def test_criterion_5_distance_metric_axioms(internship, population):
     assert t.elapsed < 60.0
     for check in others:
         assert check.passed, merged.summary()
+        assert check.violations == 0 and check.nonvacuous == check.instances
     _assert_triangle_verdict_faithful(
         reports, triangle, datasets, oracle.oracle_distance, _triangle_margin
     )

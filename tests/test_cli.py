@@ -1,5 +1,6 @@
 import importlib
 import io
+import itertools
 import json
 import os
 import shutil
@@ -11,9 +12,10 @@ import pytest
 
 from catent import cli, randgen
 from catent.cli import MAX_RANDOM, main
+from catent.entropy import check_conditional_entropy_laws
 from catent.ingest import INTERNSHIP, fixture_path
 from catent.metric import MAX_DEMO_STEPS
-from catent.model import Dataset
+from catent.model import Dataset, induced_partition
 from catent.randgen import MAX_ALPHABET, MAX_CELLS, MAX_COLUMNS, MAX_ROWS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -153,6 +155,18 @@ class TestDist:
         code, _, err = run_cli(capsys, "dist", FIXTURE, "Nope")
         assert code == 2
         assert "unknown column" in err
+
+    def test_duplicate_column_is_bad_input(self, capsys, tmp_path):
+        # the file would hold two rows under one name, which load_matrix refuses
+        target = tmp_path / "m.tsv"
+        code, out, err = run_cli(
+            capsys, "dist", FIXTURE, "Creativity", "Creativity", "GotHired",
+            "--out", str(target),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "duplicate" in err
+        assert not target.exists()
 
     def test_unwritable_out_path(self, capsys):
         code, _, err = run_cli(
@@ -345,6 +359,36 @@ class TestCheckLemma2:
         code, out, _ = run_cli(capsys, "check-lemma2", counterexample_csv)
         assert code == 0
         assert "overall: PASS" in out
+
+    def test_broken_kernel_fails_with_witness_lines(self, capsys, monkeypatch, internship):
+        # an offset on H(a | b) for fine a breaks the chain rule on some triples;
+        # the package re-exports the function ``entropy`` under the module's name
+        entropy_module = importlib.import_module("catent.entropy")
+        real = entropy_module.conditional_entropy
+
+        def skewed(a, b):
+            return real(a, b) + (0.5 if a.n_blocks > 3 else 0.0)
+
+        monkeypatch.setattr(entropy_module, "conditional_entropy", skewed)
+        monkeypatch.setattr(importlib.import_module("catent.metric"),
+                            "conditional_entropy", skewed)
+        parts = {nm: induced_partition(internship[nm], internship) for nm in internship.names}
+        failing = sum(
+            not check_conditional_entropy_laws(*(parts[nm] for nm in triple))
+            .clause("chain_rule").passed
+            for triple in itertools.product(internship.names, repeat=3)
+        )
+        assert 0 < failing < 216
+
+        code, out, _ = run_cli(capsys, "check-lemma2", FIXTURE)
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[-1] == "overall: FAIL"
+        assert f"chain_rule            checked=216 nonvacuous=216 failures={failing}" in lines
+        assert any(
+            line.startswith(f"violation in dataset[{FIXTURE}] chain_rule: witness=")
+            for line in lines
+        )
 
     def test_refined_mode_exercises_coarsening(self, capsys):
         code, out, _ = run_cli(

@@ -5,11 +5,18 @@ import pytest
 from hypothesis import given, settings
 
 from catent.algebra import check_contractivity, check_monoid_laws
-from catent.entropy import TOLERANCE, entropy, mutual_information
+from catent.entropy import (
+    LAWS,
+    TOLERANCE,
+    check_conditional_entropy_laws,
+    entropy,
+    mutual_information,
+)
 from catent.metric import (
     MAX_DEMO_STEPS,
     DistanceMatrix,
     check_distance_axioms,
+    check_entropy_laws,
     check_similarity_axioms,
     distance_matrix,
     instances,
@@ -108,6 +115,13 @@ class TestDistanceMatrix:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             DistanceMatrix(("a", "b"), [[0.0] * 3] * 3)
+
+    def test_duplicate_names_rejected(self, internship):
+        # value() would silently read the first of the two rows
+        with pytest.raises(ValueError, match="duplicate"):
+            DistanceMatrix(("a", "a"), [[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="duplicate"):
+            distance_matrix(internship, ["Creativity", "Creativity", "GotHired"])
 
     def test_entries_match_pairwise_function(self, internship):
         m = distance_matrix(internship)
@@ -284,6 +298,59 @@ class TestMergeReports:
         merged = merge_reports([distance_report(internship), distance_report(indiscernibles)])
         assert merged.passed
         assert merged.check("zero_on_indiscernible").instances == 3 + 1
+
+
+def _per_triple_tally(dataset, triples=None, seed=0):
+    """Per-law (instances, nonvacuous, violations, passed) from one
+    ``check_conditional_entropy_laws`` call per triple."""
+    parts = {nm: induced_partition(dataset[nm], dataset) for nm in dataset.names}
+    tally = {name: [0, 0, 0] for name in LAWS}
+    for nx, ny, nz in instances(dataset.names, 3, triples, seed):
+        for clause in check_conditional_entropy_laws(parts[nx], parts[ny], parts[nz]).clauses:
+            counts = tally[clause.name]
+            counts[0] += 1
+            counts[1] += not clause.vacuous
+            counts[2] += not clause.passed
+    return {name: (*counts, counts[2] == 0) for name, counts in tally.items()}
+
+
+def _dataset_tally(report):
+    return {c.name: (c.instances, c.nonvacuous, c.violations, c.passed) for c in report.checks}
+
+
+class TestEntropyLaws:
+    def test_fixture_tallies(self, internship):
+        report = check_entropy_laws(internship)
+        assert report.passed
+        assert [c.name for c in report.checks] == list(LAWS)
+        assert _dataset_tally(report) == _per_triple_tally(internship)
+        assert report.check("coarsening_monotone").nonvacuous == 72
+
+    def test_both_routes_agree_on_the_acceptance_population(self):
+        # a memo keyed by the unordered pair would hand H(y|x) to H(x|y)
+        # and move these counts
+        for seed in range(1000):
+            data = gen_dataset(GenConfig(seed=seed), columns=seed % 4 + 2)
+            assert _dataset_tally(check_entropy_laws(data)) == _per_triple_tally(data), seed
+
+    def test_both_routes_agree_on_a_sampled_wide_dataset(self):
+        data = gen_dataset(GenConfig(seed=11, correlation_mode="refined"), columns=10)
+        report = check_entropy_laws(data, triples=400, seed=5)
+        assert report.check("chain_rule").instances == 400
+        assert _dataset_tally(report) == _per_triple_tally(data, triples=400, seed=5)
+
+    def test_violation_carries_its_triple_and_gap(self, internship, monkeypatch):
+        import catent.metric
+
+        real = catent.metric.conditional_entropy
+        monkeypatch.setattr(
+            catent.metric, "conditional_entropy", lambda a, b: real(a, b) + 0.5
+        )
+        chain = check_entropy_laws(internship).check("chain_rule")
+        assert chain.violations == chain.nonvacuous == 216
+        assert chain.lhs == pytest.approx(0.5) and chain.rhs == 0.0
+        assert chain.worst_slack == -chain.lhs
+        assert len(chain.witness) == 3
 
 
 class TestNondiscreteness:
