@@ -251,15 +251,12 @@ def load_matrix(source: Source, fmt: str = "tsv") -> DistanceMatrix:
             if labels != names:
                 raise ParseError(f"matrix row labels {labels} do not match the header {names}")
             values = [[float(f) for f in fields[1:]] for fields in lines[1:]]
+        if not names:
+            raise ParseError("matrix has no names")
+        # the matrix itself refuses duplicate names and a body that does not fit them
+        return DistanceMatrix(names, values)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed matrix {fmt.upper()}: {exc}") from exc
-    if not names:
-        raise ParseError("matrix has no names")
-    if len(set(names)) != len(names):
-        raise ParseError(f"duplicate matrix names in {names}")
-    if len(values) != len(names) or any(len(row) != len(names) for row in values):
-        raise ParseError("matrix body does not match its name list")
-    return DistanceMatrix(names, values)
 
 
 # ---------------------------------------------------------------------------

@@ -398,15 +398,17 @@ def check_distance_axioms(
 
 
 def check_entropy_laws(
-    dataset: Dataset, triples: int | None = None, seed: int = 0, tol: float = TOLERANCE
+    dataset: Dataset, triples: int | None = None, seed: int = 0
 ) -> AxiomReport:
     """The laws of ``catent.entropy.check_conditional_entropy_laws``, by the
     same body, over the triples ``instances(names, 3, triples, seed)``.
 
-    Quantities of one or two columns are memoised by the ordered pair; only
-    ``H(x v y | z)``, ``H(y | x v z)`` and ``H(x | y v z)`` are computed per
-    triple.  Each law reports its gap as ``lhs`` against ``rhs`` 0; an
-    instance where a conditional law's hypothesis did not fire is vacuous.
+    Entropies, conditional entropies and coarseness of one or two columns
+    are memoised by the ordered pair; only ``H(x v y | z)``, ``H(y | x v z)``
+    and ``H(x | y v z)`` are computed per triple.  A join holds a code per
+    row, so only the last three are kept: as many as one triple uses.  Each
+    law reports its gap as ``lhs`` against ``rhs`` 0; an instance where a
+    conditional law's hypothesis did not fire is vacuous.
     """
     names = dataset.names
     parts = {nm: induced_partition(dataset[nm], dataset) for nm in names}
@@ -414,9 +416,11 @@ def check_entropy_laws(
     def jn(a: str, b: str) -> tuple[str, str]:  # a join is named by its ordered pair
         return a, b
 
-    @functools.cache  # keyed by the ordered pair: x v y and y v x stay two joins
+    # keyed by the ordered pair: x v y and y v x stay two joins
+    pair_join = functools.lru_cache(maxsize=3)(lambda a, b: join(parts[a], parts[b]))
+
     def part(key) -> Partition:
-        return parts[key] if isinstance(key, str) else join(parts[key[0]], parts[key[1]])
+        return parts[key] if isinstance(key, str) else pair_join(*key)
 
     pair_cond = functools.cache(lambda a, b: conditional_entropy(parts[a], parts[b]))
 
@@ -427,9 +431,9 @@ def check_entropy_laws(
 
     coarser = functools.cache(lambda a, b: is_coarser(parts[a], parts[b]))
     h = functools.cache(lambda key: entropy(part(key)))
-    gauges = [_Gauge(name, -tol) for name in LAWS]
+    gauges = [_Gauge(name, -TOLERANCE) for name in LAWS]
     for triple in instances(names, 3, triples, seed):
-        gaps = _law_gaps(*triple, cond, jn, coarser, h, tol)
+        gaps = _law_gaps(*triple, cond, jn, coarser, h, TOLERANCE)
         for gauge, gap in zip(gauges, gaps):
             if gap is None:
                 gauge.skip()
