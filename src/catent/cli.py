@@ -124,13 +124,12 @@ def _cmd_dist(args) -> int:
     if subset:
         _require_columns(dataset, subset)
     matrix = distance_matrix(dataset, subset)
-    number_format = ".17g" if args.full else ".4f"
-    text = save_matrix(matrix, fmt=args.format, number_format=number_format)
     if args.out:
         # files always keep full precision so they round-trip
         save_matrix(matrix, args.out, fmt=args.format)
     else:
-        print(text, end="")
+        number_format = ".17g" if args.full else ".4f"
+        print(save_matrix(matrix, fmt=args.format, number_format=number_format), end="")
     return 0
 
 

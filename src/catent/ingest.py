@@ -92,44 +92,42 @@ def load_csv(source: Source, spec: CsvSpec = CsvSpec()) -> Dataset:
             stream.close()
 
 
-def _records(reader):
-    # the csv module's own errors (such as an over-long field) are bad input
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise ParseError(str(exc), line=reader.line_num) from exc
-
-
 def _parse_csv(stream: TextIO, spec: CsvSpec) -> Dataset:
     reader = csv.reader(stream, delimiter=spec.delimiter)
-    records = _records(reader)
-    try:
-        header = next(records)
-    except StopIteration:
-        raise EmptyDatasetError("input has no header row") from None
-
-    names = [unicodedata.normalize("NFC", h) for h in header]
-    if any(not n for n in names):
-        raise ParseError("empty column name in header", line=1)
-    if len(set(names)) != len(names):
-        dupes = sorted({n for n in names if names.count(n) > 1})
-        raise NameCollisionError(f"duplicate column names: {dupes}")
-
+    drop_na = spec.na_policy == "drop-row"
     rows: list[list[str]] = []
-    for record in records:
-        if len(record) != len(names):
-            raise ParseError(
-                f"expected {len(names)} fields, got {len(record)}",
-                line=reader.line_num,
-            )
-        if spec.na_policy == "drop-row" and "" in record:
-            continue
-        rows.append([c if c != "" else NA_LABEL for c in record])
+    # the csv module's own errors (such as an over-long field) are bad input
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise EmptyDatasetError("input has no header row")
+        names = [unicodedata.normalize("NFC", h) for h in header]
+        if any(not n for n in names):
+            raise ParseError("empty column name in header", line=1)
+        if len(set(names)) != len(names):
+            dupes = sorted({n for n in names if names.count(n) > 1})
+            raise NameCollisionError(f"duplicate column names: {dupes}")
+        for record in reader:
+            if len(record) != len(names):
+                raise ParseError(
+                    f"expected {len(names)} fields, got {len(record)}",
+                    line=reader.line_num,
+                )
+            if not (drop_na and "" in record):
+                rows.append(record)
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from exc
 
     if not rows:
         raise EmptyDatasetError("input has no data rows")
 
-    columns = {name: [row[i] for row in rows] for i, name in enumerate(names)}
+    # one tuple per column; an empty cell is the category NA_LABEL, so only
+    # a column that has one is rewritten
+    na = {"": NA_LABEL}
+    columns = {
+        name: tuple(map(na.get, col, col)) if "" in col else col
+        for name, col in zip(names, zip(*rows))
+    }
     return Dataset.from_columns(columns)
 
 
@@ -145,16 +143,13 @@ def save_csv(
     """
     buffer = io.StringIO()
     writer = csv.writer(buffer, delimiter=spec.delimiter)
-    names = dataset.names
-    writer.writerow(names)
-    cols = [dataset[name].labels for name in names]
-    for r in range(dataset.row_count):
-        writer.writerow(
-            [
-                lab if isinstance(lab, str) else format_label(lab)
-                for lab in (col[r] for col in cols)
-            ]
-        )
+    writer.writerow(dataset.names)
+    cols = []
+    for var in dataset.columns.values():
+        # each distinct non-string label is formatted once
+        formatted = {lab: format_label(lab) for lab in var.alphabet if not isinstance(lab, str)}
+        cols.append(map(formatted.get, var.labels, var.labels) if formatted else var.labels)
+    writer.writerows(zip(*cols))
     text = buffer.getvalue()
     if target is None:
         return text
@@ -169,6 +164,8 @@ def save_csv(
 # distance matrices
 
 MATRIX_FORMATS = ("tsv", "json")
+# a tab or anything str.splitlines breaks at would split a TSV name
+_TSV_BREAKS = frozenset("\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 
 def save_matrix(
@@ -181,11 +178,19 @@ def save_matrix(
     ``None``, otherwise writes to the path or stream.
 
     The default ``number_format`` keeps 17 significant digits, enough
-    for ``load_matrix`` to reproduce every float bit-exactly.
+    for ``load_matrix`` to reproduce every float bit-exactly.  TSV
+    cannot hold a name with a tab or a line break (``ParseError``);
+    JSON can.
     """
     if fmt not in MATRIX_FORMATS:
         raise ParseError(f"unknown matrix format {fmt!r}; expected one of {MATRIX_FORMATS}")
     if fmt == "tsv":
+        unwritable = [n for n in matrix.names if not _TSV_BREAKS.isdisjoint(n)]
+        if unwritable:
+            raise ParseError(
+                f"matrix names {unwritable} contain a tab or line break, "
+                "which TSV cannot hold; write JSON instead"
+            )
         lines = ["\t".join(("", *matrix.names))]
         for i, name in enumerate(matrix.names):
             lines.append(

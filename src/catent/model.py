@@ -17,11 +17,13 @@ floating-point ambiguity.  Exact ``Fraction`` values remain at the API
 """
 
 import math
+import operator
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, Sequence, Union
 
@@ -37,16 +39,16 @@ class StructuralError(CatentError, ValueError):
     row universes, invalid weights, or malformed partitions."""
 
 
-def _nfc(label: Label) -> Label:
-    # strings are NFC-normalised so visually identical labels compare equal
-    return unicodedata.normalize("NFC", label) if isinstance(label, str) else label
-
-
 def _integer_weights(weights: tuple[Fraction, ...]) -> tuple[int, tuple[int, ...] | None]:
     # (D, m) with weight i = m[i] / D and D the least common denominator;
     # m is None when every m[i] is 1, so uniform rows need no per-row work
-    scale = math.lcm(*(w.denominator for w in weights))
-    mult = tuple(w.numerator * (scale // w.denominator) for w in weights)
+    first = weights[0]
+    if all(map(operator.is_, weights, repeat(first))):
+        # one weight object on every row: D and m come from it alone
+        scale, mult = first.denominator, (first.numerator,) * len(weights)
+    else:
+        scale = math.lcm(*(w.denominator for w in weights))
+        mult = tuple(w.numerator * (scale // w.denominator) for w in weights)
     return scale, None if mult.count(1) == len(mult) else mult
 
 
@@ -70,24 +72,22 @@ class CategoricalVariable:
 
     name: str
     labels: tuple[Label, ...]
+    # distinct labels in first-occurrence order
+    alphabet: tuple[Label, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         labels = tuple(self.labels)
         if not labels:
             raise StructuralError(f"variable {self.name!r} has no rows")
         alphabet = tuple(dict.fromkeys(labels))
-        # normalise each distinct string once; rewrite the rows only if one changes
-        if any(isinstance(lab, str) and not unicodedata.is_normalized("NFC", lab)
-               for lab in alphabet):
-            labels = tuple(map(_nfc, labels))  # merged labels: alphabet recomputed lazily
-        else:
-            vars(self)["alphabet"] = alphabet  # seeds the cached property
-        object.__setattr__(self, "labels", labels)
-
-    @cached_property
-    def alphabet(self) -> tuple[Label, ...]:
-        """Distinct labels in first-occurrence order."""
-        return tuple(dict.fromkeys(self.labels))
+        # strings are NFC-normalised so visually identical labels compare equal:
+        # each distinct non-NFC string once, then the rows through that map
+        nfc = {lab: unicodedata.normalize("NFC", lab) for lab in alphabet
+               if isinstance(lab, str) and not unicodedata.is_normalized("NFC", lab)}
+        if nfc:
+            labels = tuple(map(nfc.get, labels, labels))
+            alphabet = tuple(dict.fromkeys(map(nfc.get, alphabet, alphabet)))
+        vars(self).update(labels=labels, alphabet=alphabet)
 
     @cached_property
     def codes(self) -> tuple[int, ...]:

@@ -168,6 +168,18 @@ class TestDist:
         assert err.startswith("error:") and "duplicate" in err
         assert not target.exists()
 
+    def test_header_name_with_a_tab_is_bad_input_for_tsv(self, capsys, tmp_path):
+        data = tmp_path / "tab.csv"
+        data.write_text('"a\tb",c,d\nx,1,p\ny,1,q\nx,2,q\ny,2,p\n', encoding="utf-8")
+        out = tmp_path / "m.tsv"
+        code, stdout, err = run_cli(capsys, "dist", str(data), "--out", str(out))
+        assert code == 2
+        assert stdout == "" and "tab or line break" in err
+        assert not out.exists()
+        code, stdout, _ = run_cli(capsys, "dist", str(data), "--format", "json")
+        assert code == 0
+        assert json.loads(stdout)["names"] == ["a\tb", "c", "d"]
+
     def test_unwritable_out_path(self, capsys):
         code, _, err = run_cli(
             capsys, "dist", FIXTURE, "--out", "/no/such/dir/m.tsv"

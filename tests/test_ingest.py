@@ -1,5 +1,8 @@
+import csv
 import io
 import json
+import unicodedata
+from fractions import Fraction
 
 import pytest
 
@@ -142,6 +145,91 @@ class TestSaveCsv:
         assert csv_dataset(save_csv(d))["a"].labels == ("x,y", "z")
 
 
+def row_by_row(text: str, delimiter: str = ",", drop_na: bool = False):
+    """What ``load_csv`` must return, built one record at a time: NFC
+    names, NFC labels with ``""`` as ``NA_LABEL`` (or the row dropped),
+    first-occurrence alphabets and codes, uniform weights."""
+    header, *records = csv.reader(io.StringIO(text), delimiter=delimiter)
+    kept = [r for r in records if not (drop_na and "" in r)]
+    expected = {}
+    for i, name in enumerate(header):
+        labels = tuple(unicodedata.normalize("NFC", r[i]) if r[i] else NA_LABEL for r in kept)
+        alphabet = tuple(dict.fromkeys(labels))
+        expected[unicodedata.normalize("NFC", name)] = (
+            labels, alphabet, tuple(map(alphabet.index, labels))
+        )
+    return expected, (Fraction(1, len(kept)),) * len(kept)
+
+
+class TestIngestBytes:
+    """Exact loaded columns and exact ``save_csv`` text for the inputs
+    the ingest path treats specially."""
+
+    def assert_loads_as_row_by_row(self, text, **spec_kw):
+        d = csv_dataset(text, **spec_kw)
+        expected, weights = row_by_row(
+            text, spec_kw.get("delimiter", ","), spec_kw.get("na_policy") == "drop-row"
+        )
+        assert d.names == tuple(expected)
+        for n, (labels, alphabet, codes) in expected.items():
+            assert (d[n].labels, d[n].alphabet, d[n].codes) == (labels, alphabet, codes)
+        assert d.row_weights == weights
+        return d
+
+    def test_na_keep_as_category_text(self):
+        d = self.assert_loads_as_row_by_row("a,b\n,p\nx,\nx,q\n")
+        assert save_csv(d) == "a,b\r\n<NA>,p\r\nx,<NA>\r\nx,q\r\n"
+
+    def test_na_drop_row_text_and_weights(self):
+        d = self.assert_loads_as_row_by_row("a,b\n,p\nx,q\ny,r\nz,\n", na_policy="drop-row")
+        assert d.row_weights == (Fraction(1, 2),) * 2
+        assert save_csv(d) == "a,b\r\nx,q\r\ny,r\r\n"
+
+    def test_quoted_delimiter_quote_and_newline(self):
+        d = self.assert_loads_as_row_by_row(
+            'a,b\n"x,1","say ""hi"""\n"line\nbreak",q\n"x,1",q\n'
+        )
+        assert d["b"].labels == ('say "hi"', "q", "q")
+        assert save_csv(d) == (
+            'a,b\r\n"x,1","say ""hi"""\r\n"line\nbreak",q\r\n"x,1",q\r\n'
+        )
+
+    def test_semicolon_delimiter(self):
+        text = 'a;b\n"x;1";p\n;q\nx,2;p\n'
+        d = self.assert_loads_as_row_by_row(text, delimiter=";")
+        assert d["a"].labels == ("x;1", NA_LABEL, "x,2")
+        assert save_csv(d, spec=CsvSpec(delimiter=";")) == (
+            'a;b\r\n"x;1";p\r\n<NA>;q\r\nx,2;p\r\n'
+        )
+
+    def test_nfd_cells_and_header(self):
+        nfd, nfc = "cafe\u0301", "caf\u00e9"
+        d = self.assert_loads_as_row_by_row(
+            f"{nfd},b\ne\u0301,{nfd}\ne\u0301,x\n\u00e9,{nfc}\n"
+        )
+        assert d.names == (nfc, "b")
+        assert d[nfc].alphabet == ("\u00e9",)
+        assert d["b"].codes == (0, 1, 0)
+        assert save_csv(d) == f"{nfc},b\r\n\u00e9,{nfc}\r\n\u00e9,x\r\n\u00e9,{nfc}\r\n"
+
+    def test_nested_joint_with_special_characters(self):
+        d = self.assert_loads_as_row_by_row(
+            'a,b,c\nx\\y,"p,q",(r)\n"s,t",u(,)v\nx\\y,"p,q",)v\n'
+        )
+        j = joint(joint(d["a"], d["b"], d), d["c"], d)
+        assert j.name == "((a*b)*c)"
+        assert save_csv(d.with_column(j)) == (
+            "a,b,c,((a*b)*c)\r\n"
+            'x\\y,"p,q",(r),"((x\\\\y,p\\,q),\\(r\\))"\r\n'
+            '"s,t",u(,)v,"((s\\,t,u\\(),\\)v)"\r\n'
+            'x\\y,"p,q",)v,"((x\\\\y,p\\,q),\\)v)"\r\n'
+        )
+
+    def test_fixtures_load_as_row_by_row(self):
+        for name in (INTERNSHIP, INDISCERNIBLES):
+            self.assert_loads_as_row_by_row(fixture_path(name).read_text(encoding="utf-8-sig"))
+
+
 class TestMatrixIO:
     def test_tsv_roundtrip_bit_exact(self, internship):
         m = distance_matrix(internship)
@@ -178,6 +266,14 @@ class TestMatrixIO:
         p = tmp_path / "m.tsv"
         assert save_matrix(m, p) is None
         assert load_matrix(p).values == m.values
+
+    @pytest.mark.parametrize("name", ["a\tb", "a\nb", "a\rb", "a\x85b", "a\u2028b"])
+    def test_tsv_refuses_names_it_cannot_read_back(self, name):
+        m = DistanceMatrix((name, "c"), [[0.0, 0.5], [0.5, 0.0]])
+        with pytest.raises(ParseError, match="tab or line break"):
+            save_matrix(m, fmt="tsv")
+        again = load_matrix(io.StringIO(save_matrix(m, fmt="json")), fmt="json")
+        assert again.names == (name, "c")
 
     def test_unknown_format_rejected(self, internship):
         m = distance_matrix(internship)

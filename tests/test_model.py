@@ -48,6 +48,17 @@ class TestCategoricalVariable:
     def test_len(self):
         assert len(CategoricalVariable("v", ("x", "y"))) == 2
 
+    def test_nfd_and_nfc_spellings_merge_in_first_occurrence_order(self):
+        v = CategoricalVariable("v", ["e\u0301", "x", "\u00e9", "x"])
+        assert v.labels == ("\u00e9", "x", "\u00e9", "x")
+        assert v.alphabet == ("\u00e9", "x")
+        assert v.codes == (0, 1, 0, 1)
+
+    def test_non_string_labels_are_left_as_they_are(self):
+        v = CategoricalVariable("v", [("e\u0301", 1), "e\u0301", 2.5, ("e\u0301", 1)])
+        assert v.labels == (("e\u0301", 1), "\u00e9", 2.5, ("e\u0301", 1))
+        assert v.alphabet == (("e\u0301", 1), "\u00e9", 2.5)
+
 
 class TestDataset:
     def test_uniform_weights_default(self):

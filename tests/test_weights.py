@@ -8,6 +8,7 @@ on the expansion.
 """
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from catent.algebra import relabel
 from catent.entropy import conditional_entropy, entropy, symmetric_uncertainty
 from catent.model import (
     Dataset,
+    StructuralError,
     canonical_class,
     contingency,
     induced_partition,
@@ -92,3 +94,35 @@ def test_weights_become_integer_multiplicities():
     weighted = Dataset.from_columns(columns, [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)])
     assert (weighted.scale, weighted.multiplicities) == (6, (3, 2, 1))
     assert induced_partition(weighted["a"], weighted).counts == (4, 2)
+
+
+def lcm_route(weights):
+    # scale and multiplicities computed row by row over the common denominator
+    scale = math.lcm(*(w.denominator for w in weights))
+    mult = tuple(w.numerator * (scale // w.denominator) for w in weights)
+    return scale, None if set(mult) == {1} else mult
+
+
+@pytest.mark.parametrize("weights", [
+    pytest.param((Fraction(1, 4),) * 4, id="one-shared-object"),
+    pytest.param(tuple(Fraction(1, 4) for _ in range(4)), id="equal-distinct-objects"),
+    pytest.param((Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)), id="mixed"),
+    pytest.param((Fraction(1, 4), Fraction(2, 8), Fraction(1, 4), 0.25), id="mixed-types"),
+])
+def test_uniform_weight_route_matches_the_lcm_route(weights):
+    d = Dataset.from_columns({"a": ["x", "y", "x", "z"]}, weights)
+    assert (d.scale, d.multiplicities) == lcm_route(tuple(map(Fraction, weights)))
+    assert d.row_weights == tuple(map(Fraction, weights))
+
+
+@pytest.mark.parametrize("weights, message", [
+    pytest.param((Fraction(1, 3),) * 2, "sum to 1", id="shared-third"),
+    pytest.param((Fraction(2, 3),) * 2, "sum to 1", id="shared-two-thirds"),
+    pytest.param((Fraction(0),) * 2, "positive", id="shared-zero"),
+    pytest.param((Fraction(-1, 2),) * 2, "positive", id="shared-negative"),
+    pytest.param((Fraction(1, 3), Fraction(1, 3)), "sum to 1", id="distinct-thirds"),
+    pytest.param((Fraction(0), Fraction(1)), "positive", id="distinct-zero"),
+])
+def test_invalid_weights_still_rejected(weights, message):
+    with pytest.raises(StructuralError, match=message):
+        Dataset.from_columns({"a": ["x", "y"]}, weights)
