@@ -9,9 +9,9 @@ SU-distance:
     d(x * y, z * w)  <=  d(x, z) + d(y, w)
 
 so joining is continuous in the metric of ``catent.metric``.  The law
-checkers below test the monoid laws exactly (induced-partition equality,
-equivalent to canonical-class equality; no tolerance) and contractivity
-numerically.  Each builds every joint and entropy it needs once per call.
+checkers below test the monoid laws exactly (induced-partition equality;
+no tolerance) and contractivity numerically.  Each builds every joint
+and entropy it needs once per call.
 """
 
 import functools
@@ -40,10 +40,10 @@ def joint(
     return CategoricalVariable(f"({a.name}*{b.name})", tuple(zip(a.labels, b.labels)))
 
 
-def identity_variable(dataset: Dataset, name: str = "constant") -> CategoricalVariable:
-    """A constant column: the identity of the joint operation up to
-    indiscernibility (pairing with it only relabels)."""
-    return CategoricalVariable(name, ("const",) * dataset.row_count)
+def identity_variable(dataset: Dataset) -> CategoricalVariable:
+    """A constant column named ``constant``: the identity of the joint
+    operation up to indiscernibility (pairing with it only relabels)."""
+    return CategoricalVariable("constant", ("const",) * dataset.row_count)
 
 
 def are_indiscernible(
@@ -53,16 +53,14 @@ def are_indiscernible(
     return induced_partition(a, dataset) == induced_partition(b, dataset)
 
 
-def relabel(
-    var: CategoricalVariable, fmt: str = "r{}", suffix: str = "'"
-) -> CategoricalVariable:
-    """An indiscernible copy of ``var`` with fresh labels.
+def relabel(var: CategoricalVariable) -> CategoricalVariable:
+    """An indiscernible copy of ``var`` named ``var.name + "'"``.
 
-    Labels are renamed bijectively by alphabet position, so the induced
-    partition is untouched by construction.
+    Labels are renamed bijectively by alphabet position to ``r0``,
+    ``r1``, ..., so the induced partition is untouched by construction.
     """
-    rename = {lab: fmt.format(i) for i, lab in enumerate(var.alphabet)}
-    return CategoricalVariable(var.name + suffix, tuple(rename[l] for l in var.labels))
+    rename = {lab: f"r{i}" for i, lab in enumerate(var.alphabet)}
+    return CategoricalVariable(var.name + "'", tuple(rename[l] for l in var.labels))
 
 
 def check_monoid_laws(
@@ -72,9 +70,8 @@ def check_monoid_laws(
 ) -> AxiomReport:
     """Validate the monoid laws of the joint operation, exactly.
 
-    Every law is an exact equality of induced partitions, equivalent to
-    equality of canonical classes, so there is no tolerance: a law
-    either holds or produces a witness.  Checks:
+    Every law is an exact equality of induced partitions, so there is no
+    tolerance: a law either holds or produces a witness.  Checks:
     associativity ``(x*y)*z ~ x*(y*z)``; commutativity ``x*y ~ y*x``;
     identity ``x*constant ~ x``; and well-definedness, i.e. replacing
     the operands by relabeled (indiscernible) copies leaves the class
@@ -100,8 +97,8 @@ def check_monoid_laws(
         # exact laws: margin 0 on success, -inf on a counterexample
         return 0.0 if equal else float("-inf")
 
-    # columns of one dataset induce equal partitions (so have equal
-    # canonical classes) exactly when their first-occurrence codes are equal
+    # columns of one dataset induce equal partitions exactly when their
+    # first-occurrence codes are equal
     pairs_done: set[tuple[str, str]] = set()
     singles_done: set[str] = set()
     for nx, ny, nz in triple_list:
@@ -125,10 +122,7 @@ def check_monoid_laws(
 
 
 def check_contractivity(
-    dataset: Dataset,
-    quadruples: int | None = None,
-    seed: int = 0,
-    tol: float = TOLERANCE,
+    dataset: Dataset, quadruples: int | None = None, seed: int = 0
 ) -> AxiomReport:
     """Validate ``d(x*y, z*w) <= d(x,z) + d(y,w)`` over column quadruples.
 
@@ -165,7 +159,7 @@ def check_contractivity(
             joint_cache[key] = 1.0 - _su(j1, j2, h1, h2)
         return joint_cache[key]
 
-    g = _Gauge("contractivity", -tol)
+    g = _Gauge("contractivity", -TOLERANCE)
     for nx, ny, nz, nw in quad_list:
         lhs = joint_d((nx, ny), (nz, nw))
         rhs = base_d(nx, nz) + base_d(ny, nw)

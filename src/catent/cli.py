@@ -13,6 +13,7 @@ when the path is ``-``.
 import argparse
 import os
 import sys
+import unicodedata
 from functools import partial, reduce
 from pathlib import Path
 
@@ -61,6 +62,11 @@ def _csv_spec(args) -> CsvSpec:
 
 def _load(args):
     return load_csv(args.data, _csv_spec(args))
+
+
+def _column(name: str) -> str:
+    # command-line column names are NFC-normalised, as load_csv does the header
+    return unicodedata.normalize("NFC", name)
 
 
 def _require_columns(dataset, names):
@@ -144,6 +150,9 @@ def _cmd_joint(args) -> int:
         args.cols[1:],
         dataset[args.cols[0]],
     )
+    if combined.name in dataset:
+        print(f"error: column {combined.name!r} already exists", file=sys.stderr)
+        return 2
     augmented = dataset.with_column(combined)
     text = save_csv(augmented, spec=_csv_spec(args))
     if args.out:
@@ -285,25 +294,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("su", help="symmetric uncertainty and entropies of a column pair")
     add_io(p)
-    p.add_argument("a", help="first column")
-    p.add_argument("b", help="second column")
+    p.add_argument("a", type=_column, help="first column")
+    p.add_argument("b", type=_column, help="second column")
     p.set_defaults(func=_cmd_su)
 
     p = sub.add_parser("rank", help="rank features by SU against a class column")
     add_io(p)
-    p.add_argument("cls", metavar="class", help="class column")
+    p.add_argument("cls", metavar="class", type=_column, help="class column")
     p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("dist", help="pairwise distance matrix of the columns")
     add_io(p)
-    p.add_argument("columns", nargs="*", help="column subset (default: all)")
+    p.add_argument("columns", nargs="*", type=_column, help="column subset (default: all)")
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p.add_argument("--out", help="write to this path (always full precision)")
     p.set_defaults(func=_cmd_dist)
 
     p = sub.add_parser("joint", help="append the joint of two or more columns")
     add_io(p)
-    p.add_argument("cols", nargs="+", help="columns to combine")
+    p.add_argument("cols", nargs="+", type=_column, help="columns to combine")
     p.add_argument("--out", help="write the augmented CSV to this path")
     p.set_defaults(func=_cmd_joint)
 

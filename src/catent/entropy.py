@@ -204,18 +204,18 @@ LAWS = ("chain_rule", "coarsening_monotone", "zero_iff_coarser",
         "join_raises_entropy", "conditioning_reduces")
 
 
-def _law_gaps(x, y, z, cond, jn, coarser, h, tol: float) -> tuple:
+def _law_gaps(x, y, z, cond, jn, coarser, h) -> tuple:
     """Gap of each law in ``LAWS`` on one triple; ``None`` where vacuous.
 
     The operands and the kernels ``cond(a, b) = H(a | b)``,
     ``jn(a, b) = a v b``, ``coarser(a, b)`` and ``h(a) = H(a)`` come
     from the caller, which may evaluate them directly or through memos.
-    A law holds when its gap is at most ``tol``.
+    A law holds when its gap is at most ``TOLERANCE``.
     """
     xy = jn(x, y)
     h_x_y, h_x_z = cond(x, y), cond(x, z)
     chain = abs(cond(xy, z) - (h_x_z + cond(y, jn(x, z))))
-    coarse, zero = coarser(x, y), h_x_y <= tol
+    coarse, zero = coarser(x, y), h_x_y <= TOLERANCE
     monotone = max(h_x_z - cond(y, z), cond(z, y) - cond(z, x), 0.0) if coarse else None
     iff = (0.0 if zero else h_x_y) if coarse else (math.inf if zero else None)
     h_x_yz = cond(x, jn(y, z))
@@ -223,9 +223,7 @@ def _law_gaps(x, y, z, cond, jn, coarser, h, tol: float) -> tuple:
     return chain, monotone, iff, max(h(x) - h(xy), 0.0), reduces
 
 
-def check_conditional_entropy_laws(
-    x: Partition, y: Partition, z: Partition, tol: float = TOLERANCE
-) -> LawReport:
+def check_conditional_entropy_laws(x: Partition, y: Partition, z: Partition) -> LawReport:
     """Validate the standard conditional-entropy laws on one triple.
 
     Clauses:
@@ -246,10 +244,11 @@ def check_conditional_entropy_laws(
     """
     ensure_same_universe(x, y)
     ensure_same_universe(x, z)
-    gaps = _law_gaps(x, y, z, conditional_entropy, join, is_coarser, entropy, tol)
+    gaps = _law_gaps(x, y, z, conditional_entropy, join, is_coarser, entropy)
     return LawReport(
         tuple(
-            LawClause(name, gap is None or gap <= tol, gap is None, 0.0 if gap is None else gap)
+            LawClause(name, gap is None or gap <= TOLERANCE, gap is None,
+                      0.0 if gap is None else gap)
             for name, gap in zip(LAWS, gaps)
         )
     )

@@ -54,7 +54,9 @@ class NameCollisionError(IngestError):
 
 @dataclass(frozen=True)
 class CsvSpec:
-    """Parsing options for ``load_csv``."""
+    """Parsing options for ``load_csv`` (and the writing options of
+    ``save_csv``).  The delimiter is any single character but the quote
+    ``"`` and the line breaks ``\r`` and ``\n``."""
 
     delimiter: str = ","
     na_policy: str = "keep-as-category"
@@ -62,6 +64,8 @@ class CsvSpec:
     def __post_init__(self):
         if len(self.delimiter) != 1:
             raise ParseError("delimiter must be a single character")
+        if self.delimiter in '"\r\n':  # these already mean something in CSV
+            raise ParseError(f"delimiter {self.delimiter!r} is the quote or a line break")
         if self.na_policy not in NA_POLICIES:
             raise ParseError(
                 f"unknown NA policy {self.na_policy!r}; expected one of {NA_POLICIES}"

@@ -38,7 +38,6 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 from .model import (
-    CanonicalClass,
     CategoricalVariable,
     Dataset,
     Partition,
@@ -267,10 +266,7 @@ def _sampled(names: tuple[str, ...], width: int, sample: int, seed: int) -> tupl
 
 
 def check_similarity_axioms(
-    dataset: Dataset,
-    triples: int | None = None,
-    seed: int = 0,
-    tol: float = TOLERANCE,
+    dataset: Dataset, triples: int | None = None, seed: int = 0
 ) -> AxiomReport:
     """Validate the similarity-measure conditions of SU on a dataset.
 
@@ -279,8 +275,7 @@ def check_similarity_axioms(
     self-similarity ``SU(x,x) >= 0``; dominance ``SU(x,x) >= SU(x,y)``;
     the triangle-style bound ``SU(x,y) + SU(y,z) <= SU(x,z) + SU(y,y)``;
     value range ``0 <= SU <= 1``; and maximality exactly on
-    indiscernible pairs (``SU = 1`` iff equal induced partitions, which
-    on one dataset is equality of canonical classes).
+    indiscernible pairs (``SU = 1`` iff equal induced partitions).
 
     All conditions except the triangle bound are theorems and can only
     fail through an implementation fault; the triangle bound is a
@@ -304,13 +299,13 @@ def check_similarity_axioms(
     def su(a: str, b: str) -> float:
         return _su(parts[a], parts[b], hs[a], hs[b])
 
-    g_symmetry = _Gauge("symmetry", -tol)
-    g_self_nonneg = _Gauge("self_similarity_nonnegative", -tol)
-    g_dominance = _Gauge("self_similarity_dominates", -tol)
-    g_triangle = _Gauge("triangle_bound", -tol)
-    g_range = _Gauge("value_range", -tol)
-    g_max_equal = _Gauge("max_on_indiscernible", -tol)
-    g_max_only = _Gauge("max_only_on_indiscernible", tol, strict=True)
+    g_symmetry = _Gauge("symmetry", -TOLERANCE)
+    g_self_nonneg = _Gauge("self_similarity_nonnegative", -TOLERANCE)
+    g_dominance = _Gauge("self_similarity_dominates", -TOLERANCE)
+    g_triangle = _Gauge("triangle_bound", -TOLERANCE)
+    g_range = _Gauge("value_range", -TOLERANCE)
+    g_max_equal = _Gauge("max_on_indiscernible", -TOLERANCE)
+    g_max_only = _Gauge("max_only_on_indiscernible", TOLERANCE, strict=True)
 
     for nm in names:
         g_self_nonneg.add(su(nm, nm), (nm,), lhs=su(nm, nm), rhs=0.0)
@@ -344,32 +339,31 @@ def check_similarity_axioms(
 
 def check_distance_axioms(
     matrix: DistanceMatrix,
-    class_keys: Mapping[str, CanonicalClass],
+    class_keys: Mapping[str, Partition],
     triples: int | None = None,
     seed: int = 0,
-    tol: float = TOLERANCE,
 ) -> AxiomReport:
     """Validate the metric axioms on a computed distance matrix.
 
-    ``class_keys`` maps each matrix column to its canonical class (see
+    ``class_keys`` maps each matrix column to its induced partition (see
     ``catent.model.canonical_classes``); zero distance must occur
-    exactly on equal classes.  Triangle triples are
+    exactly on equal partitions.  Triangle triples are
     ``instances(names, 3, triples, seed)``.
     """
     names = matrix.names
     missing = [nm for nm in names if nm not in class_keys]
     if missing:
-        raise KeyError(f"no canonical class for columns: {missing}")
+        raise KeyError(f"no class for columns: {missing}")
     index, rows = {nm: names.index(nm) for nm in names}, matrix.values
     d = lambda a, b: rows[index[a]][index[b]]  # noqa: E731  (the floats of matrix.value)
 
-    g_nonneg = _Gauge("nonnegativity", -tol)
-    g_bounded = _Gauge("bounded_by_one", -tol)
-    g_symmetry = _Gauge("symmetry", -tol)
-    g_diag = _Gauge("zero_diagonal", -tol)
-    g_triangle = _Gauge("triangle_inequality", -tol)
-    g_zero_equal = _Gauge("zero_on_indiscernible", -tol)
-    g_zero_only = _Gauge("zero_only_on_indiscernible", tol, strict=True)
+    g_nonneg = _Gauge("nonnegativity", -TOLERANCE)
+    g_bounded = _Gauge("bounded_by_one", -TOLERANCE)
+    g_symmetry = _Gauge("symmetry", -TOLERANCE)
+    g_diag = _Gauge("zero_diagonal", -TOLERANCE)
+    g_triangle = _Gauge("triangle_inequality", -TOLERANCE)
+    g_zero_equal = _Gauge("zero_on_indiscernible", -TOLERANCE)
+    g_zero_only = _Gauge("zero_only_on_indiscernible", TOLERANCE, strict=True)
 
     for i, a in enumerate(names):
         g_diag.add(-abs(d(a, a)), (a,), lhs=d(a, a), rhs=0.0)
@@ -433,7 +427,7 @@ def check_entropy_laws(
     h = functools.cache(lambda key: entropy(part(key)))
     gauges = [_Gauge(name, -TOLERANCE) for name in LAWS]
     for triple in instances(names, 3, triples, seed):
-        gaps = _law_gaps(*triple, cond, jn, coarser, h, TOLERANCE)
+        gaps = _law_gaps(*triple, cond, jn, coarser, h)
         for gauge, gap in zip(gauges, gaps):
             if gap is None:
                 gauge.skip()

@@ -8,11 +8,12 @@ structure downstream is computed from partitions, never from labels.
 The engine counts in integers: a dataset turns its ``Fraction`` row
 weights once into integer multiplicities over their common denominator,
 and a partition is one block code per row plus an integer mass per
-block.  Partition equality, coarseness, joins, contingency cells and
-canonical representatives are therefore exact discrete facts with no
-floating-point ambiguity.  Exact ``Fraction`` values remain at the API
-(``row_weights``, ``Partition.block_probs``, ``ContingencyTable``,
-``CanonicalClass``).  Floats enter only when logarithms are taken (see
+block.  Partition equality, coarseness, joins and contingency cells are
+therefore exact discrete facts with no floating-point ambiguity; a
+column's class up to relabeling is its induced ``Partition``.  Exact
+``Fraction`` values remain at the API (``row_weights``,
+``Partition.block_probs``, ``Partition.signature``,
+``ContingencyTable``).  Floats enter only when logarithms are taken (see
 ``catent.entropy``).
 """
 
@@ -191,18 +192,21 @@ class Partition:
     Blocks are numbered in the order of their smallest row index:
     ``codes[r]`` is the number of row r's block and ``counts[b]`` the
     exact mass of block b over ``scale``, the common denominator of the
-    row weights.  ``blocks`` and ``block_probs`` are derived views.  The
-    row weights travel with the partition so that two partitions compare
-    equal only when they carve up the same weighted universe the same
-    way.  Partitions come only from ``induced_partition``, ``join`` and
-    ``trivial_partition``; calling ``Partition`` raises ``TypeError``.
+    row weights.  ``blocks``, ``block_probs`` and ``signature`` are
+    derived views.  The weighted universe travels with the partition as
+    ``scale`` and the row ``multiplicities`` (see ``Dataset``), which fix
+    the row weights, so two partitions compare equal only when they carve
+    up the same weighted universe the same way.  Two columns of one
+    dataset are indiscernible (the same point of the quotient space)
+    exactly when their partitions are equal.  Partitions come only from
+    ``induced_partition``, ``join`` and ``trivial_partition``; calling
+    ``Partition`` raises ``TypeError``.
     """
 
     codes: tuple[int, ...]
     counts: tuple[int, ...] = field(compare=False)
-    scale: int = field(compare=False)
-    row_weights: tuple[Fraction, ...] = field(repr=False)
-    multiplicities: tuple[int, ...] | None = field(repr=False, compare=False)
+    scale: int
+    multiplicities: tuple[int, ...] | None = field(repr=False)
 
     def __init__(self, *args, **kwargs):
         raise TypeError("partitions come from induced_partition, join or trivial_partition")
@@ -219,6 +223,12 @@ class Partition:
         return tuple(Fraction(c, self.scale) for c in self.counts)
 
     @property
+    def signature(self) -> tuple[Fraction, ...]:
+        """Block probabilities, largest first: invariant under relabeling
+        and under row permutations."""
+        return tuple(Fraction(c, self.scale) for c in sorted(self.counts, reverse=True))
+
+    @property
     def n_blocks(self) -> int:
         return len(self.counts)
 
@@ -230,7 +240,7 @@ def _on_rows(codes: tuple[int, ...], rows, counts=None) -> Partition:
         counts = tuple(_tally(codes, rows.multiplicities).values())
     p = object.__new__(Partition)
     vars(p).update(codes=codes, counts=counts, scale=rows.scale,
-                   row_weights=rows.row_weights, multiplicities=rows.multiplicities)
+                   multiplicities=rows.multiplicities)
     return p
 
 
@@ -273,22 +283,6 @@ class ContingencyTable:
         return self.counts[i][j]
 
 
-@dataclass(frozen=True)
-class CanonicalClass:
-    """Canonical representative of a variable up to relabeling.
-
-    Blocks are ordered by descending probability, ties broken by the
-    smallest row index they contain.  Two variables get equal
-    ``CanonicalClass`` values exactly when they induce the same
-    partition of the rows; ``signature`` (the sorted probability
-    profile) is additionally invariant under row permutations.
-    """
-
-    blocks: tuple[frozenset[int], ...]
-    probs: tuple[Fraction, ...]
-    signature: tuple[Fraction, ...]
-
-
 def induced_partition(var: CategoricalVariable, dataset: Dataset) -> Partition:
     """Partition of row indices by inverse images of the variable's labels."""
     if len(var) != dataset.row_count:
@@ -305,7 +299,7 @@ def trivial_partition(dataset: Dataset) -> Partition:
 
 def ensure_same_universe(p: Partition, q: Partition) -> None:
     """Raise unless both partitions carve the same weighted row universe."""
-    if p.row_weights != q.row_weights:
+    if (p.scale, p.multiplicities) != (q.scale, q.multiplicities):
         raise StructuralError("partitions live on different row universes")
 
 
@@ -346,24 +340,9 @@ def contingency(
     return ContingencyTable(x.alphabet, y.alphabet, grid)
 
 
-def canonical_class(p: Partition) -> CanonicalClass:
-    """Canonical representative of a partition (see ``CanonicalClass``)."""
-    order = sorted(range(p.n_blocks), key=lambda b: (-p.counts[b], b))
-    probs = tuple(p.block_probs[b] for b in order)
-    return CanonicalClass(tuple(p.blocks[b] for b in order), probs, probs)
-
-
-def canonicalize(var: CategoricalVariable, dataset: Dataset) -> CanonicalClass:
-    """Canonical representative of the variable's induced partition."""
-    return canonical_class(induced_partition(var, dataset))
-
-
-def canonical_classes(
-    dataset: Dataset, subset: Sequence[str] | None = None
-) -> dict[str, CanonicalClass]:
-    """Canonical representative of every (or each selected) column."""
-    names = dataset.names if subset is None else tuple(subset)
-    return {name: canonicalize(dataset[name], dataset) for name in names}
+def canonical_classes(dataset: Dataset) -> dict[str, Partition]:
+    """Every column's class up to relabeling: its induced partition."""
+    return {name: induced_partition(dataset[name], dataset) for name in dataset.names}
 
 
 # ---------------------------------------------------------------------------

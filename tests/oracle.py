@@ -132,6 +132,14 @@ def oracle_profile(labels) -> tuple:
     return tuple(sorted((Fraction(c, n) for c in Counter(labels).values()), reverse=True))
 
 
+def oracle_blocks(labels) -> frozenset:
+    """The partition of row indices by label, as a set of row sets."""
+    rows: dict = {}
+    for i, label in enumerate(labels):
+        rows.setdefault(label, set()).add(i)
+    return frozenset(map(frozenset, rows.values()))
+
+
 def oracle_is_coarser(xs, ys) -> bool:
     """True iff each y label occurs with a single x label."""
     seen: dict = {}

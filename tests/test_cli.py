@@ -218,6 +218,44 @@ class TestJoint:
         assert "(Neatness*GotHired)" in target.read_text(encoding="utf-8")
 
 
+    def test_existing_column_is_not_overwritten(self, capsys, tmp_path):
+        data = tmp_path / "c.csv"
+        data.write_text("a,b,(a*b)\nx,p,keep1\ny,q,keep2\n", encoding="utf-8")
+        target = tmp_path / "aug.csv"
+        code, out, err = run_cli(capsys, "joint", str(data), "a", "b", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "'(a*b)'" in err
+        assert not target.exists()
+
+    def test_quote_delimiter_is_bad_input(self, capsys, tmp_path):
+        data = tmp_path / "q.csv"
+        data.write_text('a"b\nx"p\ny"q\n', encoding="utf-8")
+        target = tmp_path / "aug.csv"
+        code, out, err = run_cli(
+            capsys, "joint", str(data), "a", "b", "--delimiter", '"', "--out", str(target)
+        )
+        assert code == 2
+        assert out == "" and "quote or a line break" in err
+        assert not target.exists()
+
+
+class TestColumnNamesAreNfc:
+    NFC, NFD = "caf\u00e9", "cafe\u0301"
+
+    @pytest.mark.parametrize("command", [
+        ("su", "{}", "b"), ("rank", "{}"), ("dist", "{}", "b"), ("joint", "{}", "b"),
+    ], ids=lambda c: c[0])
+    def test_nfd_argument_names_the_nfc_header(self, capsys, tmp_path, command):
+        data = tmp_path / "cafe.csv"
+        data.write_text(f"{self.NFC},b\nx,p\ny,q\nx,q\n", encoding="utf-8")
+        sub, *names = command
+        nfc = run_cli(capsys, sub, str(data), *(n.format(self.NFC) for n in names))
+        nfd = run_cli(capsys, sub, str(data), *(n.format(self.NFD) for n in names))
+        assert nfc[0] == 0
+        assert nfd == nfc
+
+
 class TestClasses:
     def test_fixture_grouping(self, capsys):
         code, out, _ = run_cli(capsys, "classes", FIXTURE)
@@ -458,6 +496,13 @@ class TestTopLevel:
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0
         assert "su" in out and "check-metric" in out
+
+    def test_line_break_delimiter_is_bad_input(self, capsys, tmp_path):
+        p = tmp_path / "ab.csv"
+        p.write_text("a\nb\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "dist", str(p), "--delimiter", "\n")
+        assert code == 2
+        assert out == "" and "quote or a line break" in err
 
     def test_drop_na_and_delimiter_flags(self, capsys, tmp_path):
         p = tmp_path / "semi.csv"

@@ -24,6 +24,7 @@ from catent.ingest import (
     save_matrix,
 )
 from catent.metric import DistanceMatrix, distance_matrix
+from catent.model import Dataset
 
 import oracle
 
@@ -112,6 +113,24 @@ class TestLoadCsv:
             CsvSpec(delimiter=",,")
         with pytest.raises(ParseError):
             CsvSpec(na_policy="imagine")
+
+    @pytest.mark.parametrize("delimiter", ['"', "\r", "\n"], ids=["quote", "cr", "lf"])
+    def test_quote_and_line_breaks_are_not_delimiters(self, delimiter):
+        with pytest.raises(ParseError, match="quote or a line break"):
+            CsvSpec(delimiter=delimiter)
+
+    def test_every_other_single_character_delimiter_round_trips(self):
+        for ch in map(chr, [*range(128), 0x85, 0xE9, 0x2028, 0x1F600]):
+            if ch in '"\r\n':
+                continue
+            spec = CsvSpec(delimiter=ch)
+            d = Dataset.from_columns({
+                f"a{ch}b": [f"x{ch}y", 'q"r', "line\nbreak", " s ", "t"],
+                "c": ["1", "2", "3", "4", "5"],
+            })
+            again = load_csv(io.StringIO(save_csv(d, spec=spec), newline=""), spec)
+            assert again.names == d.names, repr(ch)
+            assert [again[n].labels for n in again.names] == [d[n].labels for n in d.names]
 
     def test_errors_share_a_base_class(self):
         for exc in (ParseError, EmptyDatasetError, NameCollisionError):

@@ -10,9 +10,7 @@ from catent.model import (
     Dataset,
     Partition,
     StructuralError,
-    canonical_class,
     canonical_classes,
-    canonicalize,
     contingency,
     format_label,
     induced_partition,
@@ -271,26 +269,18 @@ class TestContingency:
 
 class TestCanonicalClass:
     def test_indiscernible_fixture_pair_equal(self, indiscernibles):
-        a = canonicalize(indiscernibles["digits"], indiscernibles)
-        b = canonicalize(indiscernibles["letters"], indiscernibles)
+        a = induced_partition(indiscernibles["digits"], indiscernibles)
+        b = induced_partition(indiscernibles["letters"], indiscernibles)
         assert a == b
         assert a.signature == (Fraction(1, 2), Fraction(2, 5), Fraction(1, 10))
 
     def test_same_signature_different_partition_distinguished(self):
         # equal probability profiles, different row content
         d = Dataset.from_columns({"a": ["x", "x", "y", "y"], "b": ["x", "y", "x", "y"]})
-        ca = canonicalize(d["a"], d)
-        cb = canonicalize(d["b"], d)
+        ca = induced_partition(d["a"], d)
+        cb = induced_partition(d["b"], d)
         assert ca.signature == cb.signature
         assert ca != cb
-
-    def test_blocks_ordered_by_mass_then_first_row(self):
-        d = Dataset.from_columns({"a": ["x", "y", "y", "z"]})
-        c = canonicalize(d["a"], d)
-        assert c.blocks[0] == frozenset({1, 2})
-        assert c.probs == (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
-        # tie between {0} and {3} broken by smallest row index
-        assert c.blocks[1] == frozenset({0})
 
     @given(strategies.datasets(max_cols=1), st.randoms(use_true_random=False))
     @settings(max_examples=60)
@@ -300,7 +290,7 @@ class TestCanonicalClass:
         rnd.shuffle(fresh)
         rename = dict(zip(v.alphabet, fresh))
         relabeled = CategoricalVariable("c0", tuple(rename[l] for l in v.labels))
-        assert canonicalize(relabeled, d) == canonicalize(v, d)
+        assert induced_partition(relabeled, d) == induced_partition(v, d)
 
     @given(strategies.datasets(max_cols=2), st.randoms(use_true_random=False))
     @settings(max_examples=60)
@@ -311,13 +301,14 @@ class TestCanonicalClass:
             {nm: [d[nm].labels[i] for i in perm] for nm in d.names}
         )
         for nm in d.names:
-            before = canonicalize(d[nm], d)
-            after = canonicalize(permuted[nm], permuted)
+            before = induced_partition(d[nm], d)
+            after = induced_partition(permuted[nm], permuted)
             assert before.signature == after.signature
         if len(d.names) == 2:
             a, b = d.names
-            assert (canonicalize(d[a], d) == canonicalize(d[b], d)) == (
-                canonicalize(permuted[a], permuted) == canonicalize(permuted[b], permuted)
+            assert (induced_partition(d[a], d) == induced_partition(d[b], d)) == (
+                induced_partition(permuted[a], permuted)
+                == induced_partition(permuted[b], permuted)
             )
 
     def test_canonical_classes_groups_relabelings(self, internship):
@@ -325,10 +316,6 @@ class TestCanonicalClass:
         assert classes["Neatness"] == classes["Punctuality"] == classes["IQuotient"]
         distinct = {classes[nm] for nm in internship.names}
         assert len(distinct) == 4
-
-    def test_canonical_class_of_partition_matches_canonicalize(self):
-        d = Dataset.from_columns({"a": ["x", "y", "x"]})
-        assert canonical_class(induced_partition(d["a"], d)) == canonicalize(d["a"], d)
 
 
 class TestLabelSerialisation:

@@ -20,7 +20,7 @@ from catent.entropy import conditional_entropy, entropy, symmetric_uncertainty
 from catent.model import (
     Dataset,
     StructuralError,
-    canonical_class,
+    cell_counts,
     contingency,
     induced_partition,
     is_coarser,
@@ -40,7 +40,7 @@ def test_weighted_dataset_matches_its_uniform_expansion(case):
     d, expanded = case
     parts = {nm: induced_partition(d[nm], d) for nm in d.names}
     for nm, p in parts.items():
-        assert canonical_class(p).signature == oracle.oracle_profile(expanded[nm])
+        assert p.signature == oracle.oracle_profile(expanded[nm])
     for a, b in itertools.product(d.names, repeat=2):
         p, q, xs, ys = parts[a], parts[b], expanded[a], expanded[b]
         assert entropy(p) == pytest.approx(oracle.oracle_entropy(xs), abs=TOL)
@@ -85,6 +85,46 @@ def test_same_blocks_with_other_weights_compare_unequal():
     assert p != q
     assert p.block_probs == (Fraction(2, 3), Fraction(1, 3))
     assert q.block_probs == (Fraction(3, 4), Fraction(1, 4))
+
+
+@given(strategies.datasets())
+@settings(max_examples=60)
+def test_signature_is_the_label_profile(d):
+    for nm in d.names:
+        assert induced_partition(d[nm], d).signature == oracle.oracle_profile(d[nm].labels)
+
+
+@pytest.mark.parametrize("weights", [
+    pytest.param(None, id="uniform"),
+    pytest.param((Fraction(1, 2), Fraction(1, 8), Fraction(3, 8)), id="other-scale"),
+    pytest.param((Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)), id="same-scale"),
+])
+def test_same_codes_on_other_weights_are_another_universe(weights):
+    columns = {"a": ["x", "y", "x"]}
+    other = Dataset.from_columns(columns, (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
+    d = Dataset.from_columns(columns, weights)
+    p, q = induced_partition(other["a"], other), induced_partition(d["a"], d)
+    assert p.codes == q.codes
+    assert p != q
+    for kernel in (join, cell_counts):
+        with pytest.raises(StructuralError, match="different row universes"):
+            kernel(p, q)
+
+
+@pytest.mark.parametrize("weights, twin", [
+    pytest.param(None, (Fraction(1, 4),) * 4, id="from-columns-default"),
+    pytest.param((Fraction(1, 4),) * 4, tuple(Fraction(1, 4) for _ in range(4)),
+                 id="distinct-objects"),
+    pytest.param((Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)),
+                 (Fraction(2, 4), 0.25, Fraction(1, 8), Fraction(1, 8)), id="mixed-types"),
+])
+def test_equal_weights_given_any_way_are_one_universe(weights, twin):
+    columns = {"a": ["x", "y", "x", "z"]}
+    d, e = Dataset.from_columns(columns, weights), Dataset.from_columns(columns, twin)
+    p, q = induced_partition(d["a"], d), induced_partition(e["a"], e)
+    assert p == q
+    assert hash(p) == hash(q)
+    assert join(p, q) == p
 
 
 def test_weights_become_integer_multiplicities():
