@@ -10,8 +10,11 @@ SU-distance:
 
 so joining is continuous in the metric of ``catent.metric``.  The law
 checkers below test the monoid laws exactly (induced-partition equality;
-no tolerance) and contractivity numerically.  Each builds every joint
-and entropy it needs once per call.
+no tolerance) and contractivity numerically, on the columns'
+partitions.  Contractivity computes each pair join and entropy once per
+call; the monoid check keeps at most ``EXHAUSTIVE_LIMIT ** 2`` pair
+joins, every pair of an exhaustive run, so its memory stays flat on
+sampled runs over many columns.
 """
 
 import functools
@@ -20,11 +23,13 @@ from .model import (
     CategoricalVariable,
     Dataset,
     StructuralError,
+    canonical_classes,
     induced_partition,
     join,
+    trivial_partition,
 )
 from .entropy import TOLERANCE, _su, entropy
-from .metric import AxiomReport, _Gauge, _report, instances
+from .metric import EXHAUSTIVE_LIMIT, AxiomReport, _Gauge, _report, instances
 
 
 def joint(
@@ -75,18 +80,22 @@ def check_monoid_laws(
     associativity ``(x*y)*z ~ x*(y*z)``; commutativity ``x*y ~ y*x``;
     identity ``x*constant ~ x``; and well-definedness, i.e. replacing
     the operands by relabeled (indiscernible) copies leaves the class
-    of the result unchanged.
+    of the result unchanged.  The first three compare joins of the
+    columns' partitions; well-definedness compares the partition of the
+    ``joint`` of the relabeled columns with the join.
 
     The triples are ``catent.metric.instances(dataset.names, 3,
     triples, seed)``.
     """
     triple_list = instances(dataset.names, 3, triples, seed)
+    parts = canonical_classes(dataset)
+    const = trivial_partition(dataset)
 
-    const = identity_variable(dataset)
-
-    @functools.cache  # keyed by the ordered pair: x*y and y*x stay two joints
-    def jv(a: str, b: str) -> CategoricalVariable:
-        return joint(dataset[a], dataset[b], dataset)
+    # keyed by the ordered pair, so x*y and y*x stay two joins; room for
+    # every pair of an exhaustive run, a bound for sampled ones
+    jp = functools.lru_cache(maxsize=EXHAUSTIVE_LIMIT**2)(
+        lambda a, b: join(parts[a], parts[b])
+    )
 
     g_assoc = _Gauge("associativity", 0.0)
     g_commut = _Gauge("commutativity", 0.0)
@@ -97,26 +106,23 @@ def check_monoid_laws(
         # exact laws: margin 0 on success, -inf on a counterexample
         return 0.0 if equal else float("-inf")
 
-    # columns of one dataset induce equal partitions exactly when their
-    # first-occurrence codes are equal
     pairs_done: set[tuple[str, str]] = set()
     singles_done: set[str] = set()
     for nx, ny, nz in triple_list:
-        x, y, z = dataset[nx], dataset[ny], dataset[nz]
-        xy = jv(nx, ny)
-        left = joint(xy, z, dataset).codes
-        right = joint(x, jv(ny, nz), dataset).codes
+        xy = jp(nx, ny)
+        left = join(xy, parts[nz])
+        right = join(parts[nx], jp(ny, nz))
         g_assoc.add(verdict(left == right), (nx, ny, nz))
 
         if (nx, ny) not in pairs_done:
             pairs_done.add((nx, ny))
-            g_commut.add(verdict(xy.codes == joint(y, x, dataset).codes), (nx, ny))
-            relabeled = joint(relabel(x), relabel(y), dataset)
-            g_well.add(verdict(relabeled.codes == xy.codes), (nx, ny))
+            g_commut.add(verdict(xy == jp(ny, nx)), (nx, ny))
+            relabeled = joint(relabel(dataset[nx]), relabel(dataset[ny]), dataset)
+            g_well.add(verdict(induced_partition(relabeled, dataset) == xy), (nx, ny))
 
         if nx not in singles_done:
             singles_done.add(nx)
-            g_ident.add(verdict(joint(x, const, dataset).codes == x.codes), (nx,))
+            g_ident.add(verdict(join(parts[nx], const) == parts[nx]), (nx,))
 
     return _report(g_assoc, g_commut, g_ident, g_well)
 
@@ -130,10 +136,9 @@ def check_contractivity(
     quadruples, seed)``.  The slack reported is the amount by which the
     right side exceeds the left.
     """
-    names = dataset.names
-    quad_list = instances(names, 4, quadruples, seed)
+    quad_list = instances(dataset.names, 4, quadruples, seed)
 
-    parts = {nm: induced_partition(dataset[nm], dataset) for nm in names}
+    parts = canonical_classes(dataset)
     hs = {nm: entropy(p) for nm, p in parts.items()}
 
     @functools.cache

@@ -12,6 +12,7 @@ Distance matrices serialise to TSV (header row and row labels) or JSON
 significant digits so values round-trip bit-exactly.
 """
 
+import contextlib
 import csv
 import io
 import json
@@ -20,7 +21,7 @@ import unicodedata
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import TextIO, Union
+from typing import Iterator, TextIO, Union
 
 from .metric import DistanceMatrix
 from .model import CatentError, Dataset, format_label
@@ -75,25 +76,32 @@ class CsvSpec:
 Source = Union[str, Path, TextIO]
 
 
-def _open_source(source: Source):
-    # returns (file object, needs_close)
+@contextlib.contextmanager
+def _open_source(source: Source) -> Iterator[TextIO]:
+    # a path and stdin's bytes are decoded alike: utf-8-sig accepts an
+    # optional BOM, and a byte that is not UTF-8 raises; stdin stays open
     if source == "-":
-        return sys.stdin, False
-    if isinstance(source, (str, Path)):
-        # utf-8-sig transparently accepts an optional BOM
-        return open(source, "r", encoding="utf-8-sig", newline=""), True
-    return source, False
+        buffer = getattr(sys.stdin, "buffer", None)
+        if buffer is None:  # a text-only stand-in for stdin
+            yield sys.stdin
+            return
+        stream = io.TextIOWrapper(buffer, encoding="utf-8-sig", newline="")
+        try:
+            yield stream
+        finally:
+            stream.detach()
+    elif isinstance(source, (str, Path)):
+        with open(source, "r", encoding="utf-8-sig", newline="") as stream:
+            yield stream
+    else:
+        yield source
 
 
 def load_csv(source: Source, spec: CsvSpec = CsvSpec()) -> Dataset:
     """Read a categorical dataset from a path, an open stream, or ``"-"``
     (stdin).  Rows get uniform weights."""
-    stream, needs_close = _open_source(source)
-    try:
+    with _open_source(source) as stream:
         return _parse_csv(stream, spec)
-    finally:
-        if needs_close:
-            stream.close()
 
 
 def _parse_csv(stream: TextIO, spec: CsvSpec) -> Dataset:
@@ -236,12 +244,8 @@ def load_matrix(source: Source, fmt: str = "tsv") -> DistanceMatrix:
     """
     if fmt not in MATRIX_FORMATS:
         raise ParseError(f"unknown matrix format {fmt!r}; expected one of {MATRIX_FORMATS}")
-    stream, needs_close = _open_source(source)
-    try:
+    with _open_source(source) as stream:
         text = stream.read()
-    finally:
-        if needs_close:
-            stream.close()
     try:
         if fmt == "json":
             payload = json.loads(text)

@@ -41,6 +41,7 @@ from .model import (
     CategoricalVariable,
     Dataset,
     Partition,
+    canonical_classes,
     induced_partition,
     is_coarser,
     join,
@@ -193,7 +194,8 @@ class AxiomReport:
 
 class _Gauge:
     """Accumulates margins for one axiom and keeps the worst instance; a
-    margin below ``threshold`` (with ``strict``, not above it) is a violation."""
+    margin below ``threshold`` (with ``strict``, not above it) is a violation,
+    and so is a NaN margin, which becomes the witness unless a violation is."""
 
     def __init__(self, name: str, threshold: float, strict: bool = False):
         self.name, self.threshold, self.strict = name, threshold, strict
@@ -203,10 +205,11 @@ class _Gauge:
     def add(self, margin: float, witness: tuple[str, ...], lhs=None, rhs=None) -> None:
         self.count += 1
         self.nonvacuous += 1
-        if margin <= self.threshold if self.strict else margin < self.threshold:
-            self.violations += 1
-        if margin < self.worst:
+        # written as "not good" so that a NaN margin, which no comparison holds for, fails
+        violated = not (margin > self.threshold if self.strict else margin >= self.threshold)
+        if margin < self.worst or (violated and not self.violations and math.isnan(margin)):
             self.worst, self.witness, self.lhs, self.rhs = margin, witness, lhs, rhs
+        self.violations += violated
 
     def skip(self) -> None:
         """Count an instance whose hypothesis did not fire: it has no margin."""
@@ -287,7 +290,7 @@ def check_similarity_axioms(
     set plus all self-pairs.
     """
     names = list(dataset.names)
-    parts = {nm: induced_partition(dataset[nm], dataset) for nm in names}
+    parts = canonical_classes(dataset)
     hs = {nm: entropy(p) for nm, p in parts.items()}
 
     triple_list = instances(names, 3, triples, seed)
@@ -405,7 +408,7 @@ def check_entropy_laws(
     conditional law's hypothesis did not fire is vacuous.
     """
     names = dataset.names
-    parts = {nm: induced_partition(dataset[nm], dataset) for nm in names}
+    parts = canonical_classes(dataset)
 
     def jn(a: str, b: str) -> tuple[str, str]:  # a join is named by its ordered pair
         return a, b

@@ -355,44 +355,11 @@ def format_label(label: Label) -> str:
     """Serialise a label to text.
 
     Tuple labels (joint variables) become ``(a,b)``; the characters
-    ``\\ , ( )`` inside scalar labels are backslash-escaped, so nested
-    pairs always parse back unambiguously.
+    ``\\ , ( )`` inside scalar labels are backslash-escaped, so distinct
+    labels built from strings and tuples never share a text: a reloaded
+    joint column keeps its class.
     """
     if isinstance(label, tuple):
         return "(" + ",".join(format_label(part) for part in label) + ")"
     text = str(label)
     return "".join("\\" + ch if ch in _SPECIAL else ch for ch in text)
-
-
-def parse_label(text: str) -> Label:
-    """Inverse of ``format_label``.  Scalar labels parse back as strings."""
-    label, pos = _parse_label(text, 0)
-    if pos != len(text):
-        raise ValueError(f"trailing characters in label text: {text!r}")
-    return label
-
-
-def _parse_label(text: str, pos: int) -> tuple[Label, int]:
-    if pos < len(text) and text[pos] == "(":
-        parts = []
-        pos += 1
-        while True:
-            part, pos = _parse_label(text, pos)
-            parts.append(part)
-            if pos >= len(text):
-                raise ValueError("unterminated pair in label text")
-            if text[pos] == ",":
-                pos += 1
-                continue
-            if text[pos] == ")":
-                return tuple(parts), pos + 1
-            raise ValueError(f"malformed pair at position {pos}")
-    chars = []
-    while pos < len(text) and text[pos] not in ",()":
-        if text[pos] == "\\":
-            pos += 1
-            if pos >= len(text):
-                raise ValueError("dangling escape in label text")
-        chars.append(text[pos])
-        pos += 1
-    return "".join(chars), pos

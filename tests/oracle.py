@@ -147,6 +147,45 @@ def oracle_is_coarser(xs, ys) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# label text: catent only writes it, so its inverse lives with the tests
+
+
+def parse_label(text: str):
+    """Inverse of ``catent.model.format_label`` on labels built from strings
+    and tuples: a scalar parses back as a string."""
+    label, pos = _parse_label(text, 0)
+    if pos != len(text):
+        raise ValueError(f"trailing characters in label text: {text!r}")
+    return label
+
+
+def _parse_label(text: str, pos: int):
+    if pos < len(text) and text[pos] == "(":
+        parts = []
+        pos += 1
+        while True:
+            part, pos = _parse_label(text, pos)
+            parts.append(part)
+            if pos >= len(text):
+                raise ValueError("unterminated pair in label text")
+            if text[pos] == ",":
+                pos += 1
+                continue
+            if text[pos] == ")":
+                return tuple(parts), pos + 1
+            raise ValueError(f"malformed pair at position {pos}")
+    chars = []
+    while pos < len(text) and text[pos] not in ",()":
+        if text[pos] == "\\":
+            pos += 1
+            if pos >= len(text):
+                raise ValueError("dangling escape in label text")
+        chars.append(text[pos])
+        pos += 1
+    return "".join(chars), pos
+
+
+# ---------------------------------------------------------------------------
 # frozen high-precision constants (40-60 digit arithmetic, truncated to
 # double precision); compare with abs tolerance 1e-12
 

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -42,15 +43,35 @@ def acceptance_population():
 
 def one_sided_joint(monkeypatch):
     """Patch ``catent.algebra.joint`` so that the joint of two different
-    columns carries only the left operand's labels: commutativity breaks,
-    while associativity, identity and well-definedness still hold."""
-    real = algebra.joint
+    columns carries only the left operand's labels, and ``catent.algebra.join``
+    so that the join of two different partitions is the left one:
+    commutativity breaks, while associativity, identity and
+    well-definedness still hold."""
+    real_joint, real_join = algebra.joint, algebra.join
 
     def left_only(a, b, dataset):
-        j = real(a, b, dataset)
+        j = real_joint(a, b, dataset)
         return j if a == b else CategoricalVariable(j.name, a.labels)
 
+    def left_only_join(p, q):
+        return real_join(p, q) if p == q else p
+
     monkeypatch.setattr(algebra, "joint", left_only)
+    monkeypatch.setattr(algebra, "join", left_only_join)
+
+
+def merging_relabel(monkeypatch):
+    """Patch ``catent.algebra.relabel`` so that the copy merges the first
+    two labels of the column: the copy is no longer indiscernible, so
+    well-definedness breaks and the other laws, which never relabel, hold."""
+    real = algebra.relabel
+
+    def merging(var):
+        r = real(var)
+        merged = dict(zip(r.alphabet[1:2], r.alphabet[:1]))
+        return CategoricalVariable(r.name, tuple(merged.get(lab, lab) for lab in r.labels))
+
+    monkeypatch.setattr(algebra, "relabel", merging)
 
 
 def monoid_by_row_blocks(dataset):
@@ -60,6 +81,7 @@ def monoid_by_row_blocks(dataset):
     or partitions."""
     canon = lambda v: oracle.oracle_blocks(v.labels)  # noqa: E731
     j = lambda a, b: algebra.joint(a, b, dataset)  # noqa: E731
+    r = algebra.relabel  # read at call time, so a patched relabel is seen too
     pair = functools.cache(lambda a, b: j(dataset[a], dataset[b]))
     const = identity_variable(dataset)
     found = {law: [0, None] for law in MONOID_CHECKS}
@@ -76,7 +98,7 @@ def monoid_by_row_blocks(dataset):
     for w in itertools.product(names, repeat=2):
         x, y = map(dataset.__getitem__, w)
         record("commutativity", canon(j(x, y)) == canon(j(y, x)), w)
-        record("well_definedness", canon(j(relabel(x), relabel(y))) == canon(j(x, y)), w)
+        record("well_definedness", canon(j(r(x), r(y))) == canon(j(x, y)), w)
     for nm in names:
         record("identity_element", canon(j(dataset[nm], const)) == canon(dataset[nm]), (nm,))
     return {law: (w is None, n, w) for law, (n, w) in found.items()}
@@ -241,13 +263,26 @@ class TestMonoidLaws:
         )
         assert report.check("commutativity").witness == first
 
-    @pytest.mark.parametrize("one_sided", [False, True], ids=["joint", "one-sided-joint"])
+    def test_merging_relabel_fails_only_well_definedness(self, internship, monkeypatch):
+        assert check_monoid_laws(internship).passed
+        merging_relabel(monkeypatch)
+        report = check_monoid_laws(internship)
+        assert [c.name for c in report.failures()] == ["well_definedness"]
+        # the first column has three labels, so its self-pair is the first to break
+        first = internship.names[0]
+        assert report.check("well_definedness").witness == (first, first)
+        assert report.check("well_definedness").instances == 6**2
+
+    @pytest.mark.parametrize(
+        "fault", [None, one_sided_joint, merging_relabel],
+        ids=["joint", "one-sided-joint", "merging-relabel"],
+    )
     def test_verdicts_equal_canonical_class_recomputation(
-        self, acceptance_population, monkeypatch, one_sided
+        self, acceptance_population, monkeypatch, fault
     ):
         datasets = acceptance_population
-        if one_sided:  # failing verdicts, so that witnesses are compared too
-            one_sided_joint(monkeypatch)
+        if fault is not None:  # failing verdicts, so that witnesses are compared too
+            fault(monkeypatch)
             datasets = datasets[:50]
         failed = 0
         for dataset in datasets:
@@ -256,7 +291,19 @@ class TestMonoidLaws:
                    for c in report.checks}
             assert got == monoid_by_row_blocks(dataset)
             failed += not report.passed
-        assert failed > 0 if one_sided else failed == 0
+        assert failed == 0 if fault is None else failed > 0
+
+    def test_memory_stays_flat_on_wide_sampled_data(self):
+        # a memo of one join per ordered pair grows with columns^2 x rows
+        data = gen_dataset(GenConfig(seed=0, rows=(1024, 1024)), 50)
+        tracemalloc.start()
+        try:
+            report = check_monoid_laws(data, triples=300)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 8 * 2**20
 
 
 class TestContractivity:

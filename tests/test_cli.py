@@ -13,7 +13,7 @@ import pytest
 from catent import cli, randgen
 from catent.cli import MAX_RANDOM, main
 from catent.entropy import check_conditional_entropy_laws
-from catent.ingest import INTERNSHIP, fixture_path
+from catent.ingest import INDISCERNIBLES, INTERNSHIP, fixture_path
 from catent.metric import MAX_DEMO_STEPS
 from catent.model import Dataset, induced_partition
 from catent.randgen import MAX_ALPHABET, MAX_CELLS, MAX_COLUMNS, MAX_ROWS
@@ -24,6 +24,36 @@ FIXTURE = str(fixture_path(INTERNSHIP))
 
 # the three-row dataset whose middle column breaks the triangle inequality
 COUNTEREXAMPLE_CSV = "pair_02,finest,pair_12\na,p,u\nb,q,v\na,r,v\n"
+
+
+# check-monoid stdout, byte for byte: the route inside a validator may
+# change, what it prints may not
+MONOID_STDOUT_INTERNSHIP = """\
+[PASS] associativity: instances=216 worst_slack=0.000e+00
+[PASS] commutativity: instances=36 worst_slack=0.000e+00
+[PASS] identity_element: instances=6 worst_slack=0.000e+00
+[PASS] well_definedness: instances=36 worst_slack=0.000e+00
+[PASS] contractivity: instances=1296 worst_slack=0.000e+00
+overall: PASS
+"""
+
+MONOID_STDOUT_INDISCERNIBLES = """\
+[PASS] associativity: instances=8 worst_slack=0.000e+00
+[PASS] commutativity: instances=4 worst_slack=0.000e+00
+[PASS] identity_element: instances=2 worst_slack=0.000e+00
+[PASS] well_definedness: instances=4 worst_slack=0.000e+00
+[PASS] contractivity: instances=16 worst_slack=0.000e+00
+overall: PASS
+"""
+
+MONOID_STDOUT_RANDOM_100 = """\
+[PASS] associativity: instances=6400 worst_slack=0.000e+00
+[PASS] commutativity: instances=1600 worst_slack=0.000e+00
+[PASS] identity_element: instances=400 worst_slack=0.000e+00
+[PASS] well_definedness: instances=1600 worst_slack=0.000e+00
+[PASS] contractivity: instances=25600 worst_slack=-2.220e-16
+overall: PASS
+"""
 
 
 def run_cli(capsys, *argv):
@@ -84,6 +114,32 @@ class TestSu:
         code, out, _ = run_cli(capsys, "su", "-", "a", "b")
         assert code == 0
         assert "SU" in out
+
+    @staticmethod
+    def byte_stdin(monkeypatch, data: bytes):
+        # stdin as the interpreter opens it without a locale: undecodable
+        # bytes would pass through as surrogates if read as text
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        return stdin
+
+    def test_stdin_bom_is_dropped_as_from_a_path(self, capsys, monkeypatch):
+        stdin = self.byte_stdin(monkeypatch, b"\xef\xbb\xbfa,b\nx,y\nz,w\n")
+        code, out, err = run_cli(capsys, "su", "-", "a", "b")
+        assert (code, err) == (0, "")
+        assert out.startswith("SU  ")
+        assert not stdin.closed
+
+    def test_stdin_invalid_byte_is_bad_input_as_from_a_path(self, capsys, monkeypatch, tmp_path):
+        data = b"a,b\nx,\xff\nz,w\n"
+        path = tmp_path / "invalid.csv"
+        path.write_bytes(data)
+        from_path = run_cli(capsys, "classes", str(path))
+        stdin = self.byte_stdin(monkeypatch, data)
+        code, out, err = run_cli(capsys, "classes", "-")
+        assert (code, out, err) == from_path
+        assert code == 2 and "can't decode byte 0xff" in err
+        assert not stdin.closed
 
 
 class TestRank:
@@ -394,6 +450,14 @@ class TestCheckMonoid:
         )
         assert code == 0
         assert "overall: PASS" in out
+
+    @pytest.mark.parametrize("argv, pinned", [
+        ([FIXTURE], MONOID_STDOUT_INTERNSHIP),
+        ([str(fixture_path(INDISCERNIBLES))], MONOID_STDOUT_INDISCERNIBLES),
+        (["--random", "100", "--columns", "4"], MONOID_STDOUT_RANDOM_100),
+    ], ids=["internship", "indiscernibles", "random-100"])
+    def test_stdout_is_pinned(self, capsys, argv, pinned):
+        assert run_cli(capsys, "check-monoid", *argv) == (0, pinned, "")
 
 
 class TestCheckLemma2:

@@ -1,3 +1,4 @@
+import io
 import itertools
 import math
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from catent.algebra import check_contractivity, check_monoid_laws
+from catent.ingest import load_matrix
 from catent.entropy import (
     LAWS,
     TOLERANCE,
@@ -230,6 +232,11 @@ class TestSimilarityAxioms:
             assert check.passed, report.summary()
 
 
+TWO_DISCERNIBLE_CLASSES = canonical_classes(
+    Dataset.from_columns({"a": ["x", "y"], "b": ["x", "x"]})
+)
+
+
 class TestDistanceAxioms:
     def test_fixture_passes_exhaustively(self, internship):
         report = distance_report(internship)
@@ -257,6 +264,32 @@ class TestDistanceAxioms:
         assert tri.lhs == pytest.approx(tri.rhs + oracle.TRIANGLE_CE_VIOLATION, abs=1e-12)
         for name in UNIVERSAL_DISTANCE:
             assert report.check(name).passed
+
+    def test_nan_distances_violate_every_axiom_they_touch_tsv(self):
+        matrix = load_matrix(io.StringIO("\ta\tb\na\tnan\tnan\nb\tnan\tnan\n"))
+        report = check_distance_axioms(matrix, TWO_DISCERNIBLE_CLASSES)
+        # zero_on_indiscernible has no instance; every other axiom fails on a NaN
+        assert [c.name for c in report.failures()] == [
+            c.name for c in report.checks if c.name != "zero_on_indiscernible"
+        ]
+        for c in report.failures():
+            assert c.violations == c.instances
+            assert c.witness is not None and math.isnan(c.lhs)
+
+    def test_nan_distances_violate_every_axiom_they_touch_json(self):
+        text = '{"names": ["a", "b"], "values": [[0, NaN], [NaN, 0]]}'
+        report = check_distance_axioms(
+            load_matrix(io.StringIO(text), fmt="json"), TWO_DISCERNIBLE_CLASSES
+        )
+        assert [c.name for c in report.failures()] == [
+            "nonnegativity", "bounded_by_one", "symmetry", "triangle_inequality",
+            "zero_only_on_indiscernible",
+        ]
+        # (a,a,a) passes first; the first NaN instance still becomes the witness
+        tri = report.check("triangle_inequality")
+        assert tri.witness == ("a", "a", "b") and math.isnan(tri.lhs)
+        for c in report.failures():
+            assert c.witness is not None and math.isnan(c.lhs)
 
     def test_missing_class_key_rejected(self, internship):
         matrix = distance_matrix(internship)
