@@ -6,8 +6,10 @@ usage errors, unknown columns, or unreadable input, and 141, silently,
 when the reader of standard output leaves early (``catent ... | head``).
 
 Values display with 4 decimals by default; ``--full`` switches to 17
-significant digits.  Datasets are read from a CSV path or from stdin
-when the path is ``-``.
+significant digits on the commands that print them (``su``, ``rank``,
+``dist``, ``demo-nondiscrete``).  Datasets are read from a CSV path or
+from stdin when the path is ``-``; ``dist`` and ``joint`` write their
+result to ``--out`` when it is given, and to stdout otherwise.
 """
 
 import argparse
@@ -62,6 +64,13 @@ def _csv_spec(args) -> CsvSpec:
 
 def _load(args):
     return load_csv(args.data, _csv_spec(args))
+
+
+def _emit(text: str, out: str | None) -> None:
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+    else:
+        print(text, end="")
 
 
 def _column(name: str) -> str:
@@ -130,12 +139,9 @@ def _cmd_dist(args) -> int:
     if subset:
         _require_columns(dataset, subset)
     matrix = distance_matrix(dataset, subset)
-    if args.out:
-        # files always keep full precision so they round-trip
-        save_matrix(matrix, args.out, fmt=args.format)
-    else:
-        number_format = ".17g" if args.full else ".4f"
-        print(save_matrix(matrix, fmt=args.format, number_format=number_format), end="")
+    # files always keep full precision so they round-trip
+    number_format = ".17g" if args.full or args.out else ".4f"
+    _emit(save_matrix(matrix, fmt=args.format, number_format=number_format), args.out)
     return 0
 
 
@@ -153,12 +159,7 @@ def _cmd_joint(args) -> int:
     if combined.name in dataset:
         print(f"error: column {combined.name!r} already exists", file=sys.stderr)
         return 2
-    augmented = dataset.with_column(combined)
-    text = save_csv(augmented, spec=_csv_spec(args))
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        print(text, end="")
+    _emit(save_csv(dataset.with_column(combined), spec=_csv_spec(args)), args.out)
     return 0
 
 
@@ -289,22 +290,27 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--delimiter", default=",", help="field delimiter (default ,)")
         p.add_argument("--drop-na", action="store_true",
                        help="drop rows with empty cells instead of keeping <NA>")
+
+    def add_full(p):
         p.add_argument("--full", action="store_true",
                        help="print 17 significant digits instead of 4 decimals")
 
     p = sub.add_parser("su", help="symmetric uncertainty and entropies of a column pair")
     add_io(p)
+    add_full(p)
     p.add_argument("a", type=_column, help="first column")
     p.add_argument("b", type=_column, help="second column")
     p.set_defaults(func=_cmd_su)
 
     p = sub.add_parser("rank", help="rank features by SU against a class column")
     add_io(p)
+    add_full(p)
     p.add_argument("cls", metavar="class", type=_column, help="class column")
     p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("dist", help="pairwise distance matrix of the columns")
     add_io(p)
+    add_full(p)
     p.add_argument("columns", nargs="*", type=_column, help="column subset (default: all)")
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p.add_argument("--out", help="write to this path (always full precision)")
@@ -344,8 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=11,
                    help="number of doublings starting at 4 rows "
                    f"(default 11, at most {MAX_DEMO_STEPS})")
-    p.add_argument("--full", action="store_true",
-                   help="print 17 significant digits instead of 4 decimals")
+    add_full(p)
     p.set_defaults(func=_cmd_demo_nondiscrete)
 
     return parser

@@ -44,8 +44,8 @@ class UndefinedRatioError(CatentError, ZeroDivisionError):
 
 
 def _clamp(value: float) -> float:
-    # negative round-off only; real negatives pass through untouched
-    return 0.0 if -CLAMP <= value < 0.0 else value
+    # negative round-off and -0.0 become 0.0; real negatives pass through untouched
+    return 0.0 if -CLAMP <= value <= 0.0 else value
 
 
 def entropy(p: Partition) -> Bits:

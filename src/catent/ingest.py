@@ -9,7 +9,8 @@ by ``CsvSpec.na_policy``.
 
 Distance matrices serialise to TSV (header row and row labels) or JSON
 (``{"names": [...], "values": [[...]]}``); numbers are written with 17
-significant digits so values round-trip bit-exactly.
+significant digits so values round-trip bit-exactly.  ``save_csv`` and
+``save_matrix`` return text and write nothing.
 """
 
 import contextlib
@@ -100,35 +101,31 @@ def _open_source(source: Source) -> Iterator[TextIO]:
 def load_csv(source: Source, spec: CsvSpec = CsvSpec()) -> Dataset:
     """Read a categorical dataset from a path, an open stream, or ``"-"``
     (stdin).  Rows get uniform weights."""
-    with _open_source(source) as stream:
-        return _parse_csv(stream, spec)
-
-
-def _parse_csv(stream: TextIO, spec: CsvSpec) -> Dataset:
-    reader = csv.reader(stream, delimiter=spec.delimiter)
     drop_na = spec.na_policy == "drop-row"
     rows: list[list[str]] = []
-    # the csv module's own errors (such as an over-long field) are bad input
-    try:
-        header = next(reader, None)
-        if header is None:
-            raise EmptyDatasetError("input has no header row")
-        names = [unicodedata.normalize("NFC", h) for h in header]
-        if any(not n for n in names):
-            raise ParseError("empty column name in header", line=1)
-        if len(set(names)) != len(names):
-            dupes = sorted({n for n in names if names.count(n) > 1})
-            raise NameCollisionError(f"duplicate column names: {dupes}")
-        for record in reader:
-            if len(record) != len(names):
-                raise ParseError(
-                    f"expected {len(names)} fields, got {len(record)}",
-                    line=reader.line_num,
-                )
-            if not (drop_na and "" in record):
-                rows.append(record)
-    except csv.Error as exc:
-        raise ParseError(str(exc), line=reader.line_num) from exc
+    with _open_source(source) as stream:
+        reader = csv.reader(stream, delimiter=spec.delimiter)
+        # the csv module's own errors (such as an over-long field) are bad input
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise EmptyDatasetError("input has no header row")
+            names = [unicodedata.normalize("NFC", h) for h in header]
+            if any(not n for n in names):
+                raise ParseError("empty column name in header", line=1)
+            if len(set(names)) != len(names):
+                dupes = sorted({n for n in names if names.count(n) > 1})
+                raise NameCollisionError(f"duplicate column names: {dupes}")
+            for record in reader:
+                if len(record) != len(names):
+                    raise ParseError(
+                        f"expected {len(names)} fields, got {len(record)}",
+                        line=reader.line_num,
+                    )
+                if not (drop_na and "" in record):
+                    rows.append(record)
+        except csv.Error as exc:
+            raise ParseError(str(exc), line=reader.line_num) from exc
 
     if not rows:
         raise EmptyDatasetError("input has no data rows")
@@ -143,11 +140,8 @@ def _parse_csv(stream: TextIO, spec: CsvSpec) -> Dataset:
     return Dataset.from_columns(columns)
 
 
-def save_csv(
-    dataset: Dataset, target: Source | None = None, spec: CsvSpec = CsvSpec()
-) -> str | None:
-    """Write a dataset back to CSV; returns the text when ``target`` is
-    ``None``.
+def save_csv(dataset: Dataset, *, spec: CsvSpec = CsvSpec()) -> str:
+    """A dataset as CSV text.
 
     One record per row; weights are not serialised (CSV datasets are
     uniform by construction).  String labels are written verbatim;
@@ -162,14 +156,7 @@ def save_csv(
         formatted = {lab: format_label(lab) for lab in var.alphabet if not isinstance(lab, str)}
         cols.append(map(formatted.get, var.labels, var.labels) if formatted else var.labels)
     writer.writerows(zip(*cols))
-    text = buffer.getvalue()
-    if target is None:
-        return text
-    if isinstance(target, (str, Path)):
-        Path(target).write_text(text, encoding="utf-8")
-    else:
-        target.write(text)
-    return None
+    return buffer.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +167,8 @@ MATRIX_FORMATS = ("tsv", "json")
 _TSV_BREAKS = frozenset("\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 
-def save_matrix(
-    matrix: DistanceMatrix,
-    target: Source | None = None,
-    fmt: str = "tsv",
-    number_format: str = ".17g",
-) -> str | None:
-    """Serialise a distance matrix; returns the text when ``target`` is
-    ``None``, otherwise writes to the path or stream.
+def save_matrix(matrix: DistanceMatrix, fmt: str = "tsv", number_format: str = ".17g") -> str:
+    """A distance matrix as TSV or JSON text.
 
     The default ``number_format`` keeps 17 significant digits, enough
     for ``load_matrix`` to reproduce every float bit-exactly.  TSV
@@ -208,28 +189,12 @@ def save_matrix(
             lines.append(
                 "\t".join((name, *(format(v, number_format) for v in matrix.values[i])))
             )
-        text = "\n".join(lines) + "\n"
-    else:
-        text = (
-            json.dumps(
-                {
-                    "names": list(matrix.names),
-                    "values": [
-                        [float(format(v, number_format)) for v in row]
-                        for row in matrix.values
-                    ],
-                },
-                indent=2,
-            )
-            + "\n"
-        )
-    if target is None:
-        return text
-    if isinstance(target, (str, Path)):
-        Path(target).write_text(text, encoding="utf-8")
-    else:
-        target.write(text)
-    return None
+        return "\n".join(lines) + "\n"
+    payload = {
+        "names": list(matrix.names),
+        "values": [[float(format(v, number_format)) for v in row] for row in matrix.values],
+    }
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def load_matrix(source: Source, fmt: str = "tsv") -> DistanceMatrix:
@@ -284,9 +249,6 @@ def fixture_path(name: str) -> Path:
     return path
 
 
-def load_fixture(name: str, spec: CsvSpec = CsvSpec()) -> Dataset:
+def load_fixture(name: str) -> Dataset:
     """Load a bundled example dataset (``INTERNSHIP``, ``INDISCERNIBLES``)."""
-    with resources.files("catent.data").joinpath(name).open(
-        "r", encoding="utf-8-sig", newline=""
-    ) as stream:
-        return _parse_csv(stream, spec)
+    return load_csv(fixture_path(name))

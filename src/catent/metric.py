@@ -192,6 +192,14 @@ class AxiomReport:
         return "\n".join(lines)
 
 
+def _takes_witness(slack: float, violated: bool, worst: float, violations: int) -> bool:
+    """Whether an instance (or a report) with ``slack`` replaces the witness
+    of a record whose worst slack is ``worst``: the smaller slack wins, and a
+    violating NaN, which no comparison holds for, wins over a record with no
+    violation yet."""
+    return slack < worst or (violated and not violations and math.isnan(slack))
+
+
 class _Gauge:
     """Accumulates margins for one axiom and keeps the worst instance; a
     margin below ``threshold`` (with ``strict``, not above it) is a violation,
@@ -207,7 +215,7 @@ class _Gauge:
         self.nonvacuous += 1
         # written as "not good" so that a NaN margin, which no comparison holds for, fails
         violated = not (margin > self.threshold if self.strict else margin >= self.threshold)
-        if margin < self.worst or (violated and not self.violations and math.isnan(margin)):
+        if _takes_witness(margin, violated, self.worst, self.violations):
             self.worst, self.witness, self.lhs, self.rhs = margin, witness, lhs, rhs
         self.violations += violated
 
@@ -230,7 +238,8 @@ def merge_reports(reports: Iterable[AxiomReport]) -> AxiomReport:
         for c in report.checks:
             prev = merged.get(c.name)
             merged[c.name] = c if prev is None else replace(
-                c if c.worst_slack < prev.worst_slack else prev,
+                c if _takes_witness(c.worst_slack, not c.passed, prev.worst_slack,
+                                    prev.violations) else prev,
                 instances=prev.instances + c.instances,
                 nonvacuous=prev.nonvacuous + c.nonvacuous,
                 violations=prev.violations + c.violations,

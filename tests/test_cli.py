@@ -56,6 +56,11 @@ overall: PASS
 """
 
 
+def src_env():
+    """The caller's environment, importing catent from this checkout's ``src``."""
+    return dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -90,6 +95,16 @@ class TestSu:
         assert code == 0
         assert "entropic_ratio" in out and "undefined" in out
         assert "1.0000" in out  # SU of two constants
+
+    @pytest.mark.parametrize("rows", ["x,y\nz,w\n", "k,y\nk,w\n"],
+                             ids=["indiscernible", "constant"])
+    def test_zero_entropies_print_unsigned(self, capsys, tmp_path, rows):
+        p = tmp_path / "zero.csv"
+        p.write_text("a,b\n" + rows, encoding="utf-8")
+        for full in ((), ("--full",)):
+            code, out, _ = run_cli(capsys, "su", str(p), "a", "b", *full)
+            assert code == 0
+            assert "-0" not in out
 
     def test_unknown_column(self, capsys):
         code, _, err = run_cli(capsys, "su", FIXTURE, "Creativity", "Nope")
@@ -207,6 +222,15 @@ class TestDist:
         assert out == ""
         assert "0.5373106224461530" in target.read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    def test_out_file_is_full_stdout(self, capsys, tmp_path, fmt):
+        target = tmp_path / f"m.{fmt}"
+        code, out, _ = run_cli(capsys, "dist", FIXTURE, "--format", fmt, "--out", str(target))
+        assert code == 0 and out == ""
+        code, full, _ = run_cli(capsys, "dist", FIXTURE, "--format", fmt, "--full")
+        assert code == 0
+        assert target.read_bytes() == full.encode("utf-8")
+
     def test_unknown_subset_column(self, capsys):
         code, _, err = run_cli(capsys, "dist", FIXTURE, "Nope")
         assert code == 2
@@ -272,6 +296,10 @@ class TestJoint:
         assert code == 0
         assert out == ""
         assert "(Neatness*GotHired)" in target.read_text(encoding="utf-8")
+        code, printed, _ = run_cli(capsys, "joint", FIXTURE, "Neatness", "GotHired")
+        assert code == 0
+        # bytes: the CSV's \r\n record ends must reach the file as printed
+        assert target.read_bytes() == printed.encode("utf-8")
 
 
     def test_existing_column_is_not_overwritten(self, capsys, tmp_path):
@@ -549,6 +577,32 @@ class TestDemoNondiscrete:
         assert err.startswith("error:")
 
 
+# one valid invocation of every subcommand
+INVOCATIONS = {
+    "su": ["su", FIXTURE, "Creativity", "GotHired"],
+    "rank": ["rank", FIXTURE, "GotHired"],
+    "dist": ["dist", FIXTURE],
+    "demo-nondiscrete": ["demo-nondiscrete", "--steps", "1"],
+    "joint": ["joint", FIXTURE, "Neatness", "GotHired"],
+    "classes": ["classes", FIXTURE],
+    "check-metric": ["check-metric", FIXTURE],
+    "check-monoid": ["check-monoid", FIXTURE],
+    "check-lemma2": ["check-lemma2", FIXTURE],
+}
+PRINTS_FLOATS = ("su", "rank", "dist", "demo-nondiscrete")
+
+
+class TestFullFlag:
+    @pytest.mark.parametrize("command", sorted(INVOCATIONS))
+    def test_only_commands_that_print_floats_take_it(self, capsys, command):
+        code, out, err = run_cli(capsys, *INVOCATIONS[command], "--full")
+        if command in PRINTS_FLOATS:
+            assert code == 0 and out
+        else:
+            assert code == 2
+            assert out == "" and "unrecognized arguments: --full" in err
+
+
 class TestTopLevel:
     def test_no_arguments_is_usage_error(self, capsys):
         assert run_cli(capsys)[0] == 2
@@ -581,14 +635,14 @@ class TestTopLevel:
         proc = subprocess.run(
             [sys.executable, "-m", "catent.cli",
              "su", FIXTURE, "Creativity", "GotHired"],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, env=src_env(), timeout=60,
         )
         assert proc.returncode == 0
         assert "0.4627" in proc.stdout
 
     @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
     def test_closed_stdout_is_neither_error_nor_violation(self, unbuffered):
-        env = dict(os.environ)
+        env = src_env()
         env.pop("PYTHONUNBUFFERED", None)
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
@@ -606,10 +660,9 @@ class TestTopLevel:
         assert proc.returncode not in (0, 1, 2)
 
     def test_cli_import_leaves_numpy_unloaded(self):
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, catent.cli; print(sorted(sys.modules))"],
-            capture_output=True, text=True, env=env, timeout=60,
+            capture_output=True, text=True, env=src_env(), timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
         assert "'catent.cli'" in proc.stdout

@@ -44,6 +44,15 @@ class TestEntropy:
         d = Dataset.from_columns({"a": ["k"] * 7})
         assert entropy(*parts(d, "a")) == 0.0
 
+    def test_zero_entropies_are_positive_zero(self):
+        # -fsum of all-zero terms is -0.0, which would print as -0.0000
+        d = Dataset.from_columns({"a": ["x", "y"], "b": ["k", "k"]})
+        a, b = parts(d, "a", "b")
+        zeros = (entropy(trivial_partition(d)), entropy(b), conditional_entropy(a, a),
+                 conditional_entropy(b, a), mutual_information(a, b))
+        for value in zeros:
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
     def test_uniform_four_symbols_two_bits(self):
         d = Dataset.from_columns({"a": ["w", "x", "y", "z"]})
         assert entropy(*parts(d, "a")) == 2.0

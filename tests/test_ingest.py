@@ -147,9 +147,14 @@ class TestSaveCsv:
 
     def test_roundtrip_via_path(self, tmp_path, indiscernibles):
         p = tmp_path / "out.csv"
-        assert save_csv(indiscernibles, p) is None
+        p.write_text(save_csv(indiscernibles), encoding="utf-8")
         again = load_csv(p)
         assert again["digits"].labels == indiscernibles["digits"].labels
+
+    def test_spec_is_keyword_only(self, tmp_path, indiscernibles):
+        # a path where the spec used to follow is refused, not silently ignored
+        with pytest.raises(TypeError):
+            save_csv(indiscernibles, tmp_path / "out.csv")
 
     def test_joint_labels_serialised_readably(self, internship):
         j = joint(internship["Neatness"], internship["GotHired"], internship)
@@ -283,7 +288,7 @@ class TestMatrixIO:
     def test_path_targets(self, tmp_path, internship):
         m = distance_matrix(internship)
         p = tmp_path / "m.tsv"
-        assert save_matrix(m, p) is None
+        p.write_text(save_matrix(m), encoding="utf-8")
         assert load_matrix(p).values == m.values
 
     @pytest.mark.parametrize("name", ["a\tb", "a\nb", "a\rb", "a\x85b", "a\u2028b"])

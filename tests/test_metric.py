@@ -327,6 +327,20 @@ class TestMergeReports:
         assert tri.witness == bad.check("triangle_bound").witness
         assert merged.check("symmetry").passed
 
+    @pytest.mark.parametrize("nan_first", [False, True])
+    def test_nan_failure_keeps_its_witness_in_either_order(self, nan_first):
+        passing, nan = (
+            check_distance_axioms(load_matrix(io.StringIO(text)), TWO_DISCERNIBLE_CLASSES)
+            for text in ("\ta\tb\na\t0\t0.5\nb\t0.5\t0\n",
+                         "\ta\tb\na\t0\tnan\nb\tnan\t0\n")
+        )
+        assert passing.passed and not nan.passed
+        merged = merge_reports([nan, passing] if nan_first else [passing, nan])
+        c = merged.check("nonnegativity")
+        assert c.violations == 1
+        assert math.isnan(c.worst_slack) and math.isnan(c.lhs)
+        assert c.witness == nan.check("nonnegativity").witness
+
     def test_merge_of_passing_reports_passes(self, internship, indiscernibles):
         merged = merge_reports([distance_report(internship), distance_report(indiscernibles)])
         assert merged.passed
