@@ -11,10 +11,9 @@ SU-distance:
 so joining is continuous in the metric of ``catent.metric``.  The law
 checkers below test the monoid laws exactly (induced-partition equality;
 no tolerance) and contractivity numerically, on the columns'
-partitions.  Contractivity computes each pair join and entropy once per
-call; the monoid check keeps at most ``EXHAUSTIVE_LIMIT ** 2`` pair
-joins, every pair of an exhaustive run, so its memory stays flat on
-sampled runs over many columns.
+partitions.  Each check keeps at most ``EXHAUSTIVE_LIMIT ** 2`` pair
+joins (with their entropies, for contractivity), every pair of an
+exhaustive run, so memory stays flat on sampled runs over many columns.
 """
 
 import functools
@@ -141,7 +140,7 @@ def check_contractivity(
     parts = canonical_classes(dataset)
     hs = {nm: entropy(p) for nm, p in parts.items()}
 
-    @functools.cache
+    @functools.lru_cache(maxsize=EXHAUSTIVE_LIMIT**2)
     def jp(a: str, b: str):
         j = join(parts[a], parts[b])
         return j, entropy(j)

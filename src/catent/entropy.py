@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from .model import (
     CatentError,
     Partition,
-    cell_counts,
+    _tally,
+    cell_keys,
     ensure_same_universe,
     is_coarser,
     join,
@@ -60,10 +61,12 @@ def conditional_entropy(x: Partition, y: Partition) -> Bits:
     Computed from the contingency cell counts as
     ``-sum_{Q,R} n(Q & R)/D log2(n(Q & R) / n(R))`` over the nonempty
     block intersections, never as ``H(x v y) - H(y)``, so the chain rule
-    and ``cross_check`` compare two independent routes.
+    and ``cross_check`` compare two independent routes.  A cell's key
+    (see ``catent.model.cell_keys``) modulo ``y.n_blocks`` is its block R.
     """
-    cells, scale, marginal = cell_counts(x, y), x.scale, y.counts
-    terms = (n / scale * math.log2(n / marginal[j]) for (_, j), n in cells.items())
+    cells = _tally(cell_keys(x, y), x.multiplicities)
+    k, scale, marginal = y.n_blocks, x.scale, y.counts
+    terms = (n / scale * math.log2(n / marginal[key % k]) for key, n in cells.items())
     return _clamp(-math.fsum(terms))
 
 

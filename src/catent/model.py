@@ -15,11 +15,21 @@ column's class up to relabeling is its induced ``Partition``.  Exact
 ``Partition.block_probs``, ``Partition.signature``,
 ``ContingencyTable``).  Floats enter only when logarithms are taken (see
 ``catent.entropy``).
+
+Contingency cells are keyed by integer arithmetic.  A partition caches
+its codes ``packed`` into one integer, row r's code in field r; for two
+partitions on the same rows, ``packed(p) * q.n_blocks + packed(q)``
+holds row r's cell key ``p.codes[r] * q.n_blocks + q.codes[r]`` in
+field r (``cell_keys``).  Every key is below rows**2, and the field
+width follows from the row count (1 byte up to 16 rows, 2 up to 256, 4
+up to 65 536, else 8), so no field carries into the next.
 """
 
 import math
 import operator
+import sys
 import unicodedata
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -232,6 +242,19 @@ class Partition:
     def n_blocks(self) -> int:
         return len(self.counts)
 
+    @cached_property
+    def packed(self) -> int:
+        """``codes`` as one integer, row r's code in field r."""
+        width, fmt = _field(len(self.codes))
+        raw = bytes(self.codes) if width == 1 else array(fmt, self.codes)
+        return int.from_bytes(raw, sys.byteorder)
+
+
+def _field(rows: int) -> tuple[int, str]:
+    # bytes and array typecode of one field: every cell key is below rows**2
+    return ((1, "B") if rows <= 16 else (2, "H") if rows <= 256
+            else (4, "I") if rows <= 65536 else (8, "Q"))
+
 
 def _on_rows(codes: tuple[int, ...], rows, counts=None) -> Partition:
     # first-occurrence block codes on the weighted rows of a Dataset or Partition;
@@ -303,28 +326,39 @@ def ensure_same_universe(p: Partition, q: Partition) -> None:
         raise StructuralError("partitions live on different row universes")
 
 
+def cell_keys(p: Partition, q: Partition) -> Sequence[int]:
+    """Row r's contingency cell as the integer ``p.codes[r] * q.n_blocks
+    + q.codes[r]``, for every row in order, from one multiply-add on the
+    packed codes."""
+    if (p.scale, p.multiplicities) != (q.scale, q.multiplicities):
+        raise StructuralError("partitions live on different row universes")
+    rows = len(p.codes)
+    width, fmt = _field(rows)
+    raw = (p.packed * len(q.counts) + q.packed).to_bytes(rows * width, sys.byteorder)
+    return raw if width == 1 else memoryview(raw).cast(fmt)
+
+
 def cell_counts(p: Partition, q: Partition) -> dict[tuple[int, int], int]:
     """Integer mass, over the common ``scale``, of every nonempty
     intersection of a block of ``p`` with a block of ``q``, keyed by the
     pair of block numbers in first-occurrence order."""
-    ensure_same_universe(p, q)
-    return _tally(zip(p.codes, q.codes), p.multiplicities)
+    cells = _tally(cell_keys(p, q), p.multiplicities)
+    return {divmod(key, q.n_blocks): n for key, n in cells.items()}
 
 
 def join(p: Partition, q: Partition) -> Partition:
     """Coarsest common refinement: blocks are the nonempty pairwise
     intersections of blocks of ``p`` and ``q``."""
-    cells = cell_counts(p, q)
-    index = {pair: i for i, pair in enumerate(cells)}
-    codes = tuple(map(index.__getitem__, zip(p.codes, q.codes)))
-    return _on_rows(codes, p, tuple(cells.values()))
+    keys = cell_keys(p, q)
+    cells = _tally(keys, p.multiplicities)
+    index = {key: i for i, key in enumerate(cells)}
+    return _on_rows(tuple(map(index.__getitem__, keys)), p, tuple(cells.values()))
 
 
 def is_coarser(p: Partition, q: Partition) -> bool:
     """True iff every block of ``q`` sits inside a single block of ``p``
     (so ``p`` is coarser than or equal to ``q``)."""
-    ensure_same_universe(p, q)
-    return len(set(zip(q.codes, p.codes))) == q.n_blocks
+    return len(set(cell_keys(p, q))) == q.n_blocks
 
 
 def contingency(

@@ -146,6 +146,21 @@ def oracle_is_coarser(xs, ys) -> bool:
     return all(seen.setdefault(y, x) == x for x, y in zip(xs, ys))
 
 
+def oracle_codes(labels) -> list[int]:
+    """Each row's block number, blocks numbered by first occurrence."""
+    index: dict = {}
+    return [index.setdefault(label, len(index)) for label in labels]
+
+
+def oracle_cells(xs, ys, multiplicities=None) -> Counter:
+    """Mass of every (x block, y block) cell, one tuple per row, cells in
+    first-occurrence order; row r weighs ``multiplicities[r]`` (default 1)."""
+    cells: Counter = Counter()
+    for r, pair in enumerate(zip(oracle_codes(xs), oracle_codes(ys))):
+        cells[pair] += 1 if multiplicities is None else multiplicities[r]
+    return cells
+
+
 # ---------------------------------------------------------------------------
 # label text: catent only writes it, so its inverse lives with the tests
 

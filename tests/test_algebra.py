@@ -307,6 +307,20 @@ class TestMonoidLaws:
 
 
 class TestContractivity:
+    def test_memory_stays_flat_on_wide_sampled_data(self):
+        # a memo of every ordered-pair join (with its packed codes) grows with
+        # columns^2 x rows: 300 quadruples over 50 columns peak at 5-7 MiB with
+        # it and at about 1.5 MiB with the bounded one
+        data = gen_dataset(GenConfig(seed=0, rows=(1024, 1024)), 50)
+        tracemalloc.start()
+        try:
+            report = check_contractivity(data, quadruples=300)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 3 * 2**20
+
     def test_fixture_passes_exhaustively(self, internship):
         report = check_contractivity(internship)
         assert report.passed

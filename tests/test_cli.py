@@ -55,6 +55,48 @@ MONOID_STDOUT_RANDOM_100 = """\
 overall: PASS
 """
 
+# generated datasets of 100-300 rows and 10-30 symbols: their cell keys need
+# 2- and 4-byte fields, where the fixtures' 20 rows fit in one
+WIDE_KEYS = ["--random", "3", "--rows", "100", "300", "--alphabet", "10", "30",
+             "--columns", "4"]
+
+MONOID_STDOUT_WIDE_KEYS = """\
+[PASS] associativity: instances=192 worst_slack=0.000e+00
+[PASS] commutativity: instances=48 worst_slack=0.000e+00
+[PASS] identity_element: instances=12 worst_slack=0.000e+00
+[PASS] well_definedness: instances=48 worst_slack=0.000e+00
+[PASS] contractivity: instances=600 worst_slack=-2.220e-16
+overall: PASS
+"""
+
+LEMMA2_STDOUT_WIDE_KEYS = """\
+chain_rule            checked=192 nonvacuous=192 failures=0
+coarsening_monotone   checked=192 nonvacuous=88 failures=0
+zero_iff_coarser      checked=192 nonvacuous=88 failures=0
+join_raises_entropy   checked=192 nonvacuous=192 failures=0
+conditioning_reduces  checked=192 nonvacuous=192 failures=0
+overall: PASS
+"""
+
+METRIC_STDOUT_WIDE_KEYS = """\
+[PASS] symmetry: instances=48 worst_slack=-2.220e-16
+[PASS] self_similarity_nonnegative: instances=12 worst_slack=1.000e+00
+[PASS] self_similarity_dominates: instances=48 worst_slack=0.000e+00
+[FAIL] triangle_bound: instances=192 worst_slack=-6.190e-02 witness=c0,c3,c1 lhs=1.3046625743055598 rhs=1.242758820844629
+[PASS] value_range: instances=48 worst_slack=0.000e+00
+[PASS] max_on_indiscernible: instances=16 worst_slack=-0.000e+00
+[PASS] max_only_on_indiscernible: instances=32 worst_slack=4.231e-03
+[PASS] nonnegativity: instances=18 worst_slack=0.000e+00
+[PASS] bounded_by_one: instances=18 worst_slack=0.000e+00
+[PASS] zero_diagonal: instances=12 worst_slack=-0.000e+00
+[FAIL] triangle_inequality: instances=192 worst_slack=-6.190e-02 witness=c0,c3,c1 lhs=0.757241179155371 rhs=0.6953374256944402
+[PASS] zero_on_indiscernible: instances=2 worst_slack=-0.000e+00
+[PASS] zero_only_on_indiscernible: instances=16 worst_slack=4.231e-03
+violation in dataset[seed=0] triangle_bound: witness=c0,c3,c1 lhs=1.3046625743055598 rhs=1.242758820844629
+violation in dataset[seed=0] triangle_inequality: witness=c0,c3,c1 lhs=0.757241179155371 rhs=0.6953374256944402
+overall: FAIL
+"""
+
 
 def src_env():
     """The caller's environment, importing catent from this checkout's ``src``."""
@@ -486,6 +528,18 @@ class TestCheckMonoid:
     ], ids=["internship", "indiscernibles", "random-100"])
     def test_stdout_is_pinned(self, capsys, argv, pinned):
         assert run_cli(capsys, "check-monoid", *argv) == (0, pinned, "")
+
+
+class TestWideKeyStdout:
+    # byte for byte, with the exit code: the route to the cells may change,
+    # what the check commands print may not
+    @pytest.mark.parametrize("argv, code, pinned", [
+        (["check-monoid", *WIDE_KEYS, "--quadruples", "200"], 0, MONOID_STDOUT_WIDE_KEYS),
+        (["check-lemma2", *WIDE_KEYS], 0, LEMMA2_STDOUT_WIDE_KEYS),
+        (["check-metric", *WIDE_KEYS], 1, METRIC_STDOUT_WIDE_KEYS),
+    ], ids=["check-monoid", "check-lemma2", "check-metric"])
+    def test_stdout_is_pinned(self, capsys, argv, code, pinned):
+        assert run_cli(capsys, *argv) == (code, pinned, "")
 
 
 class TestCheckLemma2:

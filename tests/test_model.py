@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catent.entropy import conditional_entropy
 from catent.model import (
     CategoricalVariable,
     Dataset,
     Partition,
     StructuralError,
     canonical_classes,
+    cell_counts,
     contingency,
     format_label,
     induced_partition,
@@ -224,6 +226,55 @@ class TestIsCoarser:
             r = parts[2]
             if is_coarser(p, q) and is_coarser(q, r):
                 assert is_coarser(p, r)
+
+
+def _field_width_dataset(rows: int, weighted: bool) -> Dataset:
+    # two all-distinct columns put the cell key rows**2 - 1 in the last field
+    columns = {
+        "distinct": range(rows),
+        "distinct_reversed": range(rows, 0, -1),
+        "three": [r % 3 for r in range(rows)],
+        "mixed": [(r * 7) % 11 + (r > rows // 2) for r in range(rows)],
+    }
+    if not weighted:
+        return Dataset.from_columns(columns)
+    mult = [1 + r % 2 for r in range(rows)]
+    return Dataset.from_columns(columns, [Fraction(m, sum(mult)) for m in mult])
+
+
+class TestCellKeyFieldWidths:
+    """Every kernel on the cell keys against a tuple-per-row recount, at
+    the row counts on each side of a field-width step (16 | 17 rows: 1 | 2
+    bytes; 256 | 257: 2 | 4; 65 536 | 65 537: 4 | 8)."""
+
+    @pytest.mark.parametrize("rows, weighted", [
+        (16, False), (17, False), (256, False), (257, False), (257, True),
+        (65536, False), (65537, False),
+    ])
+    def test_kernels_match_tuple_tallies(self, rows, weighted):
+        d = _field_width_dataset(rows, weighted)
+        mult = d.multiplicities
+        parts = {nm: induced_partition(d[nm], d) for nm in d.names}
+
+        def expand(labels):  # the uniform expansion carries the weights as repeated rows
+            return labels if mult is None else [
+                lab for lab, m in zip(labels, mult) for _ in range(m)]
+
+        pairs = list(itertools.permutations(d.names, 2)) + [("distinct", "distinct")]
+        if rows >= 65536:  # the widest keys and one crossing pair keep the tall cases short
+            pairs = [("distinct", "distinct_reversed"), ("distinct", "mixed")]
+        for a, b in pairs:
+            xs, ys = d[a].labels, d[b].labels
+            p, q = parts[a], parts[b]
+            cells = oracle.oracle_cells(xs, ys, mult)
+            assert list(cell_counts(p, q).items()) == list(cells.items()), (rows, a, b)
+            joined = join(p, q)
+            assert list(joined.codes) == oracle.oracle_codes(list(zip(xs, ys))), (rows, a, b)
+            assert joined.counts == tuple(cells.values()), (rows, a, b)
+            assert is_coarser(p, q) == oracle.oracle_is_coarser(xs, ys), (rows, a, b)
+            assert conditional_entropy(p, q) == pytest.approx(
+                oracle.oracle_conditional_entropy(expand(xs), expand(ys)), abs=1e-9
+            ), (rows, a, b)
 
 
 class TestContingency:
