@@ -12,11 +12,9 @@ so joining is continuous in the metric of ``catent.metric``.  The law
 checkers below test the monoid laws exactly (induced-partition equality;
 no tolerance) and contractivity numerically, on the columns'
 partitions.  Each check keeps at most ``EXHAUSTIVE_LIMIT ** 2`` pair
-joins (with their entropies, for contractivity), every pair of an
-exhaustive run, so memory stays flat on sampled runs over many columns.
+joins (each caching its entropy), every pair of an exhaustive run, so
+memory stays flat on sampled runs over many columns.
 """
-
-import functools
 
 from .model import (
     CategoricalVariable,
@@ -27,8 +25,16 @@ from .model import (
     join,
     trivial_partition,
 )
-from .entropy import TOLERANCE, _su, entropy
-from .metric import EXHAUSTIVE_LIMIT, AxiomReport, _Gauge, _report, instances
+from .entropy import TOLERANCE
+from .metric import (
+    EXHAUSTIVE_LIMIT,
+    AxiomReport,
+    _Gauge,
+    _operands,
+    _report,
+    instances,
+    partition_distance,
+)
 
 
 def joint(
@@ -88,13 +94,9 @@ def check_monoid_laws(
     """
     triple_list = instances(dataset.names, 3, triples, seed)
     parts = canonical_classes(dataset)
+    # room for every ordered pair join of an exhaustive run, a bound for sampled ones
+    operand = _operands(parts, EXHAUSTIVE_LIMIT**2)
     const = trivial_partition(dataset)
-
-    # keyed by the ordered pair, so x*y and y*x stay two joins; room for
-    # every pair of an exhaustive run, a bound for sampled ones
-    jp = functools.lru_cache(maxsize=EXHAUSTIVE_LIMIT**2)(
-        lambda a, b: join(parts[a], parts[b])
-    )
 
     g_assoc = _Gauge("associativity", 0.0)
     g_commut = _Gauge("commutativity", 0.0)
@@ -108,14 +110,14 @@ def check_monoid_laws(
     pairs_done: set[tuple[str, str]] = set()
     singles_done: set[str] = set()
     for nx, ny, nz in triple_list:
-        xy = jp(nx, ny)
+        xy = operand((nx, ny))
         left = join(xy, parts[nz])
-        right = join(parts[nx], jp(ny, nz))
+        right = join(parts[nx], operand((ny, nz)))
         g_assoc.add(verdict(left == right), (nx, ny, nz))
 
         if (nx, ny) not in pairs_done:
             pairs_done.add((nx, ny))
-            g_commut.add(verdict(xy == jp(ny, nx)), (nx, ny))
+            g_commut.add(verdict(xy == operand((ny, nx))), (nx, ny))
             relabeled = joint(relabel(dataset[nx]), relabel(dataset[ny]), dataset)
             g_well.add(verdict(induced_partition(relabeled, dataset) == xy), (nx, ny))
 
@@ -136,37 +138,22 @@ def check_contractivity(
     right side exceeds the left.
     """
     quad_list = instances(dataset.names, 4, quadruples, seed)
+    operand = _operands(canonical_classes(dataset), EXHAUSTIVE_LIMIT**2)
 
-    parts = canonical_classes(dataset)
-    hs = {nm: entropy(p) for nm, p in parts.items()}
+    # keyed by the unordered pair of operands (two columns, or two joined
+    # pairs); each distance is computed in the order its pair is first asked for
+    memo: dict[tuple, float] = {}
 
-    @functools.lru_cache(maxsize=EXHAUSTIVE_LIMIT**2)
-    def jp(a: str, b: str):
-        j = join(parts[a], parts[b])
-        return j, entropy(j)
-
-    # each distance is computed in the order its pair is first asked for
-    base_cache: dict[frozenset, float] = {}
-
-    def base_d(a: str, b: str) -> float:
-        key = frozenset((a, b))
-        if key not in base_cache:
-            base_cache[key] = 1.0 - _su(parts[a], parts[b], hs[a], hs[b])
-        return base_cache[key]
-
-    joint_cache: dict[tuple, float] = {}
-
-    def joint_d(p1: tuple[str, str], p2: tuple[str, str]) -> float:
-        key = (p1, p2) if p1 <= p2 else (p2, p1)
-        if key not in joint_cache:
-            (j1, h1), (j2, h2) = jp(*p1), jp(*p2)
-            joint_cache[key] = 1.0 - _su(j1, j2, h1, h2)
-        return joint_cache[key]
+    def d(a, b) -> float:
+        key = (a, b) if a <= b else (b, a)
+        if key not in memo:
+            memo[key] = partition_distance(operand(a), operand(b))
+        return memo[key]
 
     g = _Gauge("contractivity", -TOLERANCE)
     for nx, ny, nz, nw in quad_list:
-        lhs = joint_d((nx, ny), (nz, nw))
-        rhs = base_d(nx, nz) + base_d(ny, nw)
+        lhs = d((nx, ny), (nz, nw))
+        rhs = d(nx, nz) + d(ny, nw)
         g.add(rhs - lhs, (nx, ny, nz, nw), lhs=lhs, rhs=rhs)
 
     return _report(g)

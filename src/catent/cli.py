@@ -57,8 +57,8 @@ def _fmt(value: float, full: bool) -> str:
 
 def _csv_spec(args) -> CsvSpec:
     return CsvSpec(
-        delimiter=getattr(args, "delimiter", ","),
-        na_policy="drop-row" if getattr(args, "drop_na", False) else "keep-as-category",
+        delimiter=args.delimiter,
+        na_policy="drop-row" if args.drop_na else "keep-as-category",
     )
 
 

@@ -29,7 +29,6 @@ from .model import (
     Partition,
     _tally,
     cell_keys,
-    ensure_same_universe,
     is_coarser,
     join,
 )
@@ -50,9 +49,9 @@ def _clamp(value: float) -> float:
 
 
 def entropy(p: Partition) -> Bits:
-    """Shannon entropy of a partition: ``-sum P(B) log2 P(B)``."""
-    scale = p.scale
-    return _clamp(-math.fsum(c / scale * math.log2(c / scale) for c in p.counts))
+    """Shannon entropy of a partition: ``-sum P(B) log2 P(B)``, computed
+    once per partition (``Partition.entropy``)."""
+    return p.entropy
 
 
 def conditional_entropy(x: Partition, y: Partition) -> Bits:
@@ -87,11 +86,7 @@ def symmetric_uncertainty(x: Partition, y: Partition) -> float:
     Two constants are indiscernible, so the pair is assigned 1, the
     similarity of a variable with itself.
     """
-    return _su(x, y, entropy(x), entropy(y))
-
-
-def _su(x: Partition, y: Partition, hx: Bits, hy: Bits) -> float:
-    # symmetric uncertainty from the marginal entropies hx = H(x), hy = H(y)
+    hx, hy = entropy(x), entropy(y)
     if hx == 0.0 and hy == 0.0:
         return 1.0
     return 2.0 * _clamp(hx - conditional_entropy(x, y)) / (hx + hy)
@@ -243,10 +238,10 @@ def check_conditional_entropy_laws(x: Partition, y: Partition, z: Partition) -> 
       and at most ``H(x | z)``.
 
     ``catent.metric.check_entropy_laws`` runs the same laws over the
-    column triples of a dataset.
+    column triples of a dataset.  Operands from another row universe
+    raise ``StructuralError`` in the first ``join`` or
+    ``conditional_entropy`` that meets them.
     """
-    ensure_same_universe(x, y)
-    ensure_same_universe(x, z)
     gaps = _law_gaps(x, y, z, conditional_entropy, join, is_coarser, entropy)
     return LawReport(
         tuple(

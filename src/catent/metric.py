@@ -35,7 +35,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .model import (
     CategoricalVariable,
@@ -50,7 +50,6 @@ from .entropy import (
     LAWS,
     TOLERANCE,
     _law_gaps,
-    _su,
     conditional_entropy,
     entropy,
     symmetric_uncertainty,
@@ -119,12 +118,11 @@ def distance_matrix(dataset: Dataset, subset: Sequence[str] | None = None) -> Di
     """Pairwise distance matrix over all columns or a named subset."""
     names = tuple(dataset.names if subset is None else subset)
     parts = [induced_partition(dataset[name], dataset) for name in names]
-    hs = [entropy(p) for p in parts]
     n = len(names)
     values = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            values[i][j] = values[j][i] = 1.0 - _su(parts[i], parts[j], hs[i], hs[j])
+            values[i][j] = values[j][i] = partition_distance(parts[i], parts[j])
     return DistanceMatrix(names, values)
 
 
@@ -273,6 +271,16 @@ def _sampled(names: tuple[str, ...], width: int, sample: int, seed: int) -> tupl
     return tuple(tuple(rng.choice(names) for _ in range(width)) for _ in range(sample))
 
 
+def _operands(parts: Mapping[str, Partition], joins: int) -> Callable:
+    """A validator's operand store: a column name maps to its partition in
+    ``parts``, and an ordered pair of names, which stands for their join, to
+    the join of their partitions.  Joins are keyed by the ordered pair, so
+    ``x v y`` and ``y v x`` stay two computations; each holds a code per
+    row, so only the last ``joins`` are kept."""
+    pair_join = functools.lru_cache(maxsize=joins)(lambda a, b: join(parts[a], parts[b]))
+    return lambda key: parts[key] if key in parts else pair_join(*key)
+
+
 # ---------------------------------------------------------------------------
 # similarity-measure conditions on SU
 
@@ -300,16 +308,14 @@ def check_similarity_axioms(
     """
     names = list(dataset.names)
     parts = canonical_classes(dataset)
-    hs = {nm: entropy(p) for nm, p in parts.items()}
 
     triple_list = instances(names, 3, triples, seed)
     seen = {(a, b) for x, y, z in triple_list for a, b in ((x, y), (y, z), (x, z))}
     seen.update((nm, nm) for nm in names)
     pair_list = sorted(seen)
 
-    @functools.cache  # keyed by the ordered pair: symmetry compares two computations
-    def su(a: str, b: str) -> float:
-        return _su(parts[a], parts[b], hs[a], hs[b])
+    # keyed by the ordered pair: symmetry compares two computations
+    su = functools.cache(lambda a, b: symmetric_uncertainty(parts[a], parts[b]))
 
     g_symmetry = _Gauge("symmetry", -TOLERANCE)
     g_self_nonneg = _Gauge("self_similarity_nonnegative", -TOLERANCE)
@@ -409,34 +415,30 @@ def check_entropy_laws(
     """The laws of ``catent.entropy.check_conditional_entropy_laws``, by the
     same body, over the triples ``instances(names, 3, triples, seed)``.
 
-    Entropies, conditional entropies and coarseness of one or two columns
-    are memoised by the ordered pair; only ``H(x v y | z)``, ``H(y | x v z)``
-    and ``H(x | y v z)`` are computed per triple.  A join holds a code per
-    row, so only the last three are kept: as many as one triple uses.  Each
-    law reports its gap as ``lhs`` against ``rhs`` 0; an instance where a
-    conditional law's hypothesis did not fire is vacuous.
+    Conditional entropies and coarseness of two columns are memoised by the
+    ordered pair, and a partition computes its entropy once; only
+    ``H(x v y | z)``, ``H(y | x v z)`` and ``H(x | y v z)`` are computed per
+    triple.  A join holds a code per row, so the operand store keeps only
+    the last three: as many as one triple uses.  Each law reports its gap
+    as ``lhs`` against ``rhs`` 0; an instance where a conditional law's
+    hypothesis did not fire is vacuous.
     """
     names = dataset.names
     parts = canonical_classes(dataset)
+    operand = _operands(parts, 3)
 
     def jn(a: str, b: str) -> tuple[str, str]:  # a join is named by its ordered pair
         return a, b
 
-    # keyed by the ordered pair: x v y and y v x stay two joins
-    pair_join = functools.lru_cache(maxsize=3)(lambda a, b: join(parts[a], parts[b]))
-
-    def part(key) -> Partition:
-        return parts[key] if isinstance(key, str) else pair_join(*key)
-
     pair_cond = functools.cache(lambda a, b: conditional_entropy(parts[a], parts[b]))
 
     def cond(a, b) -> float:
-        if isinstance(a, str) and isinstance(b, str):
+        if a in parts and b in parts:
             return pair_cond(a, b)
-        return conditional_entropy(part(a), part(b))  # a join on one side: per triple
+        return conditional_entropy(operand(a), operand(b))  # a join on one side: per triple
 
     coarser = functools.cache(lambda a, b: is_coarser(parts[a], parts[b]))
-    h = functools.cache(lambda key: entropy(part(key)))
+    h = lambda key: entropy(operand(key))  # noqa: E731
     gauges = [_Gauge(name, -TOLERANCE) for name in LAWS]
     for triple in instances(names, 3, triples, seed):
         gaps = _law_gaps(*triple, cond, jn, coarser, h)

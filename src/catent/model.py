@@ -13,8 +13,9 @@ therefore exact discrete facts with no floating-point ambiguity; a
 column's class up to relabeling is its induced ``Partition``.  Exact
 ``Fraction`` values remain at the API (``row_weights``,
 ``Partition.block_probs``, ``Partition.signature``,
-``ContingencyTable``).  Floats enter only when logarithms are taken (see
-``catent.entropy``).
+``ContingencyTable``).  Floats enter only when logarithms are taken: in
+``Partition.entropy``, which a partition computes once and caches, and
+in ``catent.entropy``.
 
 Contingency cells are keyed by integer arithmetic.  A partition caches
 its codes ``packed`` into one integer, row r's code in field r; for two
@@ -249,6 +250,12 @@ class Partition:
         raw = bytes(self.codes) if width == 1 else array(fmt, self.codes)
         return int.from_bytes(raw, sys.byteorder)
 
+    @cached_property
+    def entropy(self) -> float:
+        """Shannon entropy in bits, ``-sum P(B) log2 P(B)``; ``+0.0`` when zero."""
+        scale = self.scale
+        return 0.0 - math.fsum(c / scale * math.log2(c / scale) for c in self.counts)
+
 
 def _field(rows: int) -> tuple[int, str]:
     # bytes and array typecode of one field: every cell key is below rows**2
@@ -330,8 +337,7 @@ def cell_keys(p: Partition, q: Partition) -> Sequence[int]:
     """Row r's contingency cell as the integer ``p.codes[r] * q.n_blocks
     + q.codes[r]``, for every row in order, from one multiply-add on the
     packed codes."""
-    if (p.scale, p.multiplicities) != (q.scale, q.multiplicities):
-        raise StructuralError("partitions live on different row universes")
+    ensure_same_universe(p, q)
     rows = len(p.codes)
     width, fmt = _field(rows)
     raw = (p.packed * len(q.counts) + q.packed).to_bytes(rows * width, sys.byteorder)

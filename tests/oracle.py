@@ -9,6 +9,8 @@ from the closed-form sums over the verified data tables, before the
 implementation existed.
 """
 
+import functools
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -159,6 +161,62 @@ def oracle_cells(xs, ys, multiplicities=None) -> Counter:
     for r, pair in enumerate(zip(oracle_codes(xs), oracle_codes(ys))):
         cells[pair] += 1 if multiplicities is None else multiplicities[r]
     return cells
+
+
+def oracle_entropy_gap(xs, ys) -> float:
+    """``|H(x) - H(y)|``: a pseudometric on partitions that the joint is not
+    contractive for (Meila 2007)."""
+    return abs(oracle_entropy(xs) - oracle_entropy(ys))
+
+
+def oracle_variation_of_information(xs, ys) -> float:
+    """Meila's ``H(x|y) + H(y|x)``, a true metric on partitions."""
+    return oracle_conditional_entropy(xs, ys) + oracle_conditional_entropy(ys, xs)
+
+
+# ---------------------------------------------------------------------------
+# the lattice of set partitions of n rows (Pi_n), exhaustively
+
+
+def set_partitions(n: int) -> list[tuple[int, ...]]:
+    """Every set partition of n rows as a restricted growth string: row r's
+    block number, blocks numbered by first occurrence (Bell(n) strings)."""
+    strings = [()]
+    for _ in range(n):
+        strings = [s + (b,) for s in strings for b in range(max(s, default=-1) + 2)]
+    return strings
+
+
+def block_name(codes) -> str:
+    """A set partition written as its blocks of rows, e.g. ``01|2``."""
+    return "|".join("".join(str(r) for r, c in enumerate(codes) if c == b)
+                    for b in range(max(codes) + 1))
+
+
+def lattice_tally(n: int, width: int, slack, distance=oracle_distance, tol=1e-9):
+    """``(violations, worst slack, first worst instance)`` over every ordered
+    ``width``-tuple of Pi_n, with ``slack(d, join, *tuple)`` the margin of
+    one instance; ``d`` is ``distance`` on the label strings and ``join``
+    zips them, both on restricted growth strings.  A margin below ``-tol``
+    is a violation."""
+    lattice = set_partitions(n)
+    d = functools.cache(distance)
+    join = functools.cache(lambda a, b: tuple(oracle_codes(list(zip(a, b)))))
+    violations, worst, witness = 0, math.inf, None
+    for instance in itertools.product(lattice, repeat=width):
+        margin = slack(d, join, *instance)
+        violations += margin < -tol
+        if margin < worst:
+            worst, witness = margin, instance
+    return violations, worst, witness
+
+
+def triangle_slack(d, join, x, y, z) -> float:
+    return d(x, y) + d(y, z) - d(x, z)
+
+
+def contractivity_slack(d, join, x, y, z, w) -> float:
+    return d(x, z) + d(y, w) - d(join(x, y), join(z, w))
 
 
 # ---------------------------------------------------------------------------

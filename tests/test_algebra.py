@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 
-from catent import algebra
+from catent import algebra, metric
 from catent.algebra import (
     are_indiscernible,
     check_contractivity,
@@ -43,10 +43,11 @@ def acceptance_population():
 
 def one_sided_joint(monkeypatch):
     """Patch ``catent.algebra.joint`` so that the joint of two different
-    columns carries only the left operand's labels, and ``catent.algebra.join``
-    so that the join of two different partitions is the left one:
-    commutativity breaks, while associativity, identity and
-    well-definedness still hold."""
+    columns carries only the left operand's labels, and the join, both as
+    ``catent.algebra.join`` and as ``catent.metric.join`` (where the
+    validators' operand store joins pairs), so that the join of two
+    different partitions is the left one: commutativity breaks, while
+    associativity, identity and well-definedness still hold."""
     real_joint, real_join = algebra.joint, algebra.join
 
     def left_only(a, b, dataset):
@@ -58,6 +59,7 @@ def one_sided_joint(monkeypatch):
 
     monkeypatch.setattr(algebra, "joint", left_only)
     monkeypatch.setattr(algebra, "join", left_only_join)
+    monkeypatch.setattr(metric, "join", left_only_join)
 
 
 def merging_relabel(monkeypatch):

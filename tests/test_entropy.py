@@ -331,6 +331,16 @@ class TestConditionalEntropyLaws:
         report = check_conditional_entropy_laws(p, q, r)
         assert report.passed, report.failures()
 
+    @pytest.mark.parametrize("stray", ["y", "z"])
+    def test_operand_from_another_universe_raises(self, stray):
+        columns = {"a": ["x", "y", "x"], "b": ["p", "p", "q"]}
+        p, q = parts(Dataset.from_columns(columns), "a", "b")
+        (other,) = parts(Dataset.from_columns(
+            columns, (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))), "a")
+        triple = (p, other, q) if stray == "y" else (p, q, other)
+        with pytest.raises(StructuralError, match="different row universes"):
+            check_conditional_entropy_laws(*triple)
+
 
 class TestRouteIndependence:
     def test_conditional_entropy_never_takes_the_joint_route(self, internship, monkeypatch):

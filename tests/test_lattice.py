@@ -1,0 +1,117 @@
+"""Exhaustive checks over Pi_n, the set partitions of n uniform rows.
+
+Pi_3 has 5 partitions and Pi_4 has 15, so every ordered triple and
+quadruple is checked.  The SU-distance fails the triangle inequality on
+both and the joint stays contractive; the oracle in ``tests/oracle.py``
+recomputes every tally from label strings.  The contractivity checker is
+also run, through a patched ``catent.algebra.partition_distance``, on
+distances whose verdicts are known both ways: the joint is not
+contractive for the entropy gap ``|H(x) - H(y)|``, and it is for the
+Rajski distance and the variation of information (Meila 2007; Vinh, Epps
+& Bailey 2010).
+"""
+
+import functools
+import itertools
+
+import pytest
+
+from catent import algebra
+from catent.algebra import check_contractivity
+from catent.entropy import TOLERANCE, conditional_entropy, entropy, mutual_information
+from catent.metric import check_distance_axioms, distance_matrix, partition_distance
+from catent.model import Dataset, canonical_classes, join
+
+import oracle
+
+
+def lattice(n: int) -> Dataset:
+    """Pi_n as a dataset: one column per set partition, named by its blocks."""
+    return Dataset.from_columns(
+        {oracle.block_name(codes): codes for codes in oracle.set_partitions(n)}
+    )
+
+
+def kernel_tally(n: int, width: int, slack) -> tuple[int, float]:
+    """``(violations, worst slack)`` of ``slack`` over every ordered
+    ``width``-tuple of Pi_n, on ``partition_distance`` and ``join``."""
+    parts = list(canonical_classes(lattice(n)).values())
+    d, j = functools.cache(partition_distance), functools.cache(join)
+    margins = [slack(d, j, *t) for t in itertools.product(parts, repeat=width)]
+    return sum(m < -TOLERANCE for m in margins), min(margins)
+
+
+def rajski(x, y) -> float:
+    h = entropy(join(x, y))
+    return 0.0 if h == 0.0 else 1.0 - mutual_information(x, y) / h
+
+
+def variation_of_information(x, y) -> float:
+    return conditional_entropy(x, y) + conditional_entropy(y, x)
+
+
+def entropy_gap(x, y) -> float:
+    return abs(entropy(x) - entropy(y))
+
+
+class TestPi3Validators:
+    def test_triangle_inequality_fails_on_six_triples(self):
+        data = lattice(3)
+        report = check_distance_axioms(distance_matrix(data), canonical_classes(data))
+        assert [c.name for c in report.failures()] == ["triangle_inequality"]
+        tri = report.check("triangle_inequality")
+        assert (tri.instances, tri.violations) == (125, 6)
+        assert tri.worst_slack == pytest.approx(-0.19334, abs=5e-6)
+        assert tri.worst_slack == pytest.approx(-oracle.TRIANGLE_CE_VIOLATION,
+                                                abs=oracle.FROZEN_TOL)
+        x, y, z = (data[nm].labels for nm in tri.witness)
+        d = oracle.oracle_distance
+        assert d(x, y) + d(y, z) - d(x, z) == pytest.approx(tri.worst_slack,
+                                                            abs=oracle.FROZEN_TOL)
+        violations, worst, _ = oracle.lattice_tally(3, 3, oracle.triangle_slack)
+        assert violations == tri.violations
+        assert worst == pytest.approx(tri.worst_slack, abs=oracle.FROZEN_TOL)
+
+    def test_contractivity_holds_on_every_quadruple(self):
+        check = check_contractivity(lattice(3)).check("contractivity")
+        assert (check.instances, check.violations) == (625, 0)
+        assert oracle.lattice_tally(3, 4, oracle.contractivity_slack)[0] == 0
+
+
+class TestPi4Kernels:
+    def test_tallies_match_the_oracle(self):
+        triangle = kernel_tally(4, 3, oracle.triangle_slack)
+        contractivity = kernel_tally(4, 4, oracle.contractivity_slack)
+        assert triangle[0] == 276
+        assert contractivity[0] == 0
+        for (violations, worst), width, slack in (
+            (triangle, 3, oracle.triangle_slack),
+            (contractivity, 4, oracle.contractivity_slack),
+        ):
+            want, want_worst, _ = oracle.lattice_tally(4, width, slack)
+            assert violations == want
+            assert worst == pytest.approx(want_worst, abs=oracle.FROZEN_TOL)
+
+
+class TestContractivityControls:
+    """The contractivity checker says no where it should, and only there."""
+
+    @pytest.mark.parametrize("distance, oracle_distance, violations", [
+        pytest.param(entropy_gap, oracle.oracle_entropy_gap, 36, id="entropy-gap"),
+        pytest.param(rajski, oracle.oracle_rajski_distance, 0, id="rajski"),
+        pytest.param(variation_of_information, oracle.oracle_variation_of_information, 0,
+                     id="variation-of-information"),
+    ])
+    def test_violations_match_the_oracle(self, monkeypatch, distance, oracle_distance,
+                                         violations):
+        monkeypatch.setattr(algebra, "partition_distance", distance)
+        check = check_contractivity(lattice(3)).check("contractivity")
+        want, want_worst, want_witness = oracle.lattice_tally(
+            3, 4, oracle.contractivity_slack, oracle_distance)
+        assert (check.instances, check.violations) == (625, violations)
+        assert want == violations
+        assert check.worst_slack == pytest.approx(want_worst, abs=oracle.FROZEN_TOL)
+        if violations:
+            assert check.worst_slack == pytest.approx(-2 / 3, abs=oracle.FROZEN_TOL)
+            assert check.witness == ("01|2", "01|2", "01|2", "02|1")
+            assert tuple(map(oracle.block_name, want_witness)) == check.witness

@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -398,6 +399,18 @@ class TestEntropyLaws:
         assert chain.lhs == pytest.approx(0.5) and chain.rhs == 0.0
         assert chain.worst_slack == -chain.lhs
         assert len(chain.witness) == 3
+
+    def test_memory_stays_flat_on_wide_sampled_data(self):
+        # the operand store keeps three joins (one triple's) of a code per row
+        data = gen_dataset(GenConfig(seed=0, rows=(1024, 1024)), 50)
+        tracemalloc.start()
+        try:
+            report = check_entropy_laws(data, triples=300)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 3 * 2**20
 
 
 class TestNondiscreteness:
