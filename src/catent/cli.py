@@ -78,10 +78,14 @@ def _column(name: str) -> str:
     return unicodedata.normalize("NFC", name)
 
 
+class _Usage(Exception):
+    """A refusal of the command line: printed as ``error: ...``, exit 2."""
+
+
 def _require_columns(dataset, names):
     for name in names:
         if name not in dataset:
-            raise KeyError(name)
+            raise _Usage(f"unknown column {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +124,7 @@ def _cmd_rank(args) -> int:
     _require_columns(dataset, [args.cls])
     others = [name for name in dataset.names if name != args.cls]
     if not others:
-        print("error: dataset has no feature columns besides the class", file=sys.stderr)
-        return 2
+        raise _Usage("dataset has no feature columns besides the class")
     target = induced_partition(dataset[args.cls], dataset)
     scored = [
         (symmetric_uncertainty(induced_partition(dataset[name], dataset), target), name)
@@ -149,16 +152,14 @@ def _cmd_joint(args) -> int:
     dataset = _load(args)
     _require_columns(dataset, args.cols)
     if len(args.cols) < 2:
-        print("error: joint needs at least two columns", file=sys.stderr)
-        return 2
+        raise _Usage("joint needs at least two columns")
     combined = reduce(
         lambda acc, name: joint(acc, dataset[name], dataset),
         args.cols[1:],
         dataset[args.cols[0]],
     )
     if combined.name in dataset:
-        print(f"error: column {combined.name!r} already exists", file=sys.stderr)
-        return 2
+        raise _Usage(f"column {combined.name!r} already exists")
     _emit(save_csv(dataset.with_column(combined), spec=_csv_spec(args)), args.out)
     return 0
 
@@ -212,10 +213,6 @@ def _datasets_under_test(args):
             correlation_mode=args.mode,
         )
         yield f"seed={args.seed + i}", gen_dataset(config, args.gen_columns)
-
-
-class _Usage(Exception):
-    pass
 
 
 def _metric_reports(dataset, args):
@@ -373,9 +370,6 @@ def main(argv=None) -> int:
         # stdout goes to devnull so the final flush stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE, as a shell reports a writer killed by the signal
-    except KeyError as exc:
-        print(f"error: unknown column {exc.args[0]!r}", file=sys.stderr)
-        return 2
     except (_Usage, IngestError, StructuralError, ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

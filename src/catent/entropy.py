@@ -108,57 +108,6 @@ def entropic_ratio(x: Partition, y: Partition) -> float:
 
 
 # ---------------------------------------------------------------------------
-# cross-checks between independent formulations
-
-
-@dataclass(frozen=True)
-class CrossCheck:
-    """Disagreement between alternative computation routes for one pair.
-
-    Each gap is an absolute difference between two formulas that are
-    equal in exact arithmetic; ``distance_gap`` is ``None`` when both
-    variables are constant (the second distance form divides by
-    ``H(x) + H(y)``).
-    """
-
-    su_gap: float
-    mi_gap: float
-    distance_gap: float | None
-
-    @property
-    def max_gap(self) -> float:
-        gaps = [self.su_gap, self.mi_gap]
-        if self.distance_gap is not None:
-            gaps.append(self.distance_gap)
-        return max(gaps)
-
-
-def cross_check(x: Partition, y: Partition) -> CrossCheck:
-    """Compare the posterior-sum and joint-entropy routes to MI, SU and
-    the SU-distance on one pair of partitions."""
-    hx, hy, hxy = entropy(x), entropy(y), joint_entropy(x, y)
-    hx_y, hy_x = conditional_entropy(x, y), conditional_entropy(y, x)
-
-    mi_posterior = hx - hx_y
-    mi_joint = hx + hy - hxy
-    mi_gap = abs(mi_posterior - mi_joint)
-
-    if hx + hy == 0.0:
-        # both constant: SU is 1 by convention on every route
-        return CrossCheck(su_gap=0.0, mi_gap=mi_gap, distance_gap=None)
-
-    su_mi = 2.0 * mi_posterior / (hx + hy)
-    su_ratio = 2.0 * (1.0 - hxy / (hx + hy))
-    dist_su = 1.0 - su_mi
-    dist_conditional = (hx_y + hy_x) / (hx + hy)
-    return CrossCheck(
-        su_gap=abs(su_mi - su_ratio),
-        mi_gap=mi_gap,
-        distance_gap=abs(dist_su - dist_conditional),
-    )
-
-
-# ---------------------------------------------------------------------------
 # conditional-entropy laws
 
 

@@ -28,7 +28,9 @@ reduced to a margin that must stay nonnegative (inequalities:
 ``rhs - lhs``; equalities: ``-|a - b|``), the worst (smallest) margin
 and its witness are kept, every margin short of the tolerance counts as
 a violation, and the axiom passes when there is none.  A failed check
-therefore always carries a concrete witness reproducing the violation.
+therefore always carries a concrete witness reproducing the violation,
+except in ``cross_check``: it compares two routes on one given pair, so
+its checks carry no witness, only the two route values.
 """
 
 import functools
@@ -52,6 +54,7 @@ from .entropy import (
     _law_gaps,
     conditional_entropy,
     entropy,
+    joint_entropy,
     symmetric_uncertainty,
 )
 from .randgen import SplitMix64
@@ -184,8 +187,8 @@ class AxiomReport:
                 line += f" worst_slack={c.worst_slack:.3e}"
             if not c.passed and c.witness is not None:
                 line += f" witness={','.join(c.witness)}"
-                if c.lhs is not None and c.rhs is not None:
-                    line += f" lhs={c.lhs!r} rhs={c.rhs!r}"
+            if not c.passed and c.lhs is not None and c.rhs is not None:
+                line += f" lhs={c.lhs!r} rhs={c.rhs!r}"
             lines.append(line)
         return "\n".join(lines)
 
@@ -208,7 +211,7 @@ class _Gauge:
         self.count = self.nonvacuous = self.violations = 0
         self.worst, self.witness, self.lhs, self.rhs = math.inf, None, None, None
 
-    def add(self, margin: float, witness: tuple[str, ...], lhs=None, rhs=None) -> None:
+    def add(self, margin: float, witness: tuple[str, ...] | None, lhs=None, rhs=None) -> None:
         self.count += 1
         self.nonvacuous += 1
         # written as "not good" so that a NaN margin, which no comparison holds for, fails
@@ -243,6 +246,41 @@ def merge_reports(reports: Iterable[AxiomReport]) -> AxiomReport:
                 violations=prev.violations + c.violations,
             )
     return AxiomReport(tuple(merged.values()))
+
+
+def cross_check(x: Partition, y: Partition) -> AxiomReport:
+    """Compare the posterior-sum and joint-entropy routes to MI, SU and
+    the SU-distance on one pair of partitions.
+
+    Each check has one instance, whose margin is minus the gap between
+    its two routes, ``lhs`` against ``rhs``:
+
+    * ``mutual_information``: ``H(x) - H(x | y)`` against
+      ``H(x) + H(y) - H(x v y)``.
+    * ``symmetric_uncertainty``: ``2 MI / (H(x) + H(y))`` against
+      ``2 (1 - H(x v y) / (H(x) + H(y)))``.
+    * ``distance``: ``1 - SU`` against ``(H(x | y) + H(y | x)) / (H(x) + H(y))``.
+
+    For two constants SU is 1 by convention on every route, and the
+    distance check, whose second route divides by ``H(x) + H(y)``, is
+    vacuous.
+    """
+    hx, hy, hxy = entropy(x), entropy(y), joint_entropy(x, y)
+    hx_y, hy_x = conditional_entropy(x, y), conditional_entropy(y, x)
+    routes = ("mutual_information", "symmetric_uncertainty", "distance")
+    g_mi, g_su, g_dist = (_Gauge(name, -TOLERANCE) for name in routes)
+    mi_posterior, mi_joint = hx - hx_y, hx + hy - hxy
+    g_mi.add(-abs(mi_posterior - mi_joint), None, lhs=mi_posterior, rhs=mi_joint)
+    if hx + hy == 0.0:
+        g_su.add(-0.0, None, lhs=1.0, rhs=1.0)
+        g_dist.skip()
+    else:
+        su_mi = 2.0 * mi_posterior / (hx + hy)
+        su_ratio = 2.0 * (1.0 - hxy / (hx + hy))
+        dist_su, dist_conditional = 1.0 - su_mi, (hx_y + hy_x) / (hx + hy)
+        g_su.add(-abs(su_mi - su_ratio), None, lhs=su_mi, rhs=su_ratio)
+        g_dist.add(-abs(dist_su - dist_conditional), None, lhs=dist_su, rhs=dist_conditional)
+    return _report(g_mi, g_su, g_dist)
 
 
 def instances(

@@ -115,12 +115,12 @@ class CategoricalVariable:
 class Dataset:
     """A finite weighted sample space with named categorical columns.
 
-    Row weights are positive ``Fraction`` values summing to one.  All
-    columns must have exactly one label per row.  ``from_columns`` is
-    the usual entry point; it defaults to uniform weights.  Row ``i``
-    weighs ``multiplicities[i] / scale``, with ``scale`` the common
-    denominator; ``multiplicities`` is ``None`` when all rows weigh
-    ``1 / scale``.
+    Row weights are positive ``Fraction`` values summing to one.  Column
+    names are strings, and every column has exactly one label per row.
+    ``from_columns`` is the usual entry point; it defaults to uniform
+    weights.  Row ``i`` weighs ``multiplicities[i] / scale``, with
+    ``scale`` the common denominator; ``multiplicities`` is ``None``
+    when all rows weigh ``1 / scale``.
     """
 
     columns: Mapping[str, CategoricalVariable]
@@ -140,6 +140,8 @@ class Dataset:
         vars(self).update(row_weights=weights, scale=scale, multiplicities=mult)
         cols = dict(self.columns)
         for name, var in cols.items():
+            if not isinstance(name, str):
+                raise StructuralError(f"column name {name!r} is not a string")
             if not isinstance(var, CategoricalVariable):
                 raise StructuralError(f"column {name!r} is not a CategoricalVariable")
             if name != var.name:

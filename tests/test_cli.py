@@ -366,6 +366,33 @@ class TestJoint:
         assert not target.exists()
 
 
+class TestRefusals:
+    """A refusal is one ``error:`` line on stderr, exit 2 and nothing on stdout."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["su", FIXTURE, "Creativity", "Nope"], "unknown column 'Nope'"),
+        (["rank", FIXTURE, "Nope"], "unknown column 'Nope'"),
+        (["rank", "{tmp}/one.csv", "a"], "dataset has no feature columns besides the class"),
+        (["dist", FIXTURE, "Creativity", "Nope"], "unknown column 'Nope'"),
+        (["joint", FIXTURE, "Nope", "Creativity"], "unknown column 'Nope'"),
+        (["joint", FIXTURE, "Creativity"], "joint needs at least two columns"),
+        (["joint", "{tmp}/taken.csv", "a", "b"], "column '(a*b)' already exists"),
+    ])
+    def test_stderr_is_pinned(self, capsys, tmp_path, argv, message):
+        (tmp_path / "one.csv").write_text("a\nx\ny\n", encoding="utf-8")
+        (tmp_path / "taken.csv").write_text("a,b,(a*b)\nx,p,k\ny,q,m\n", encoding="utf-8")
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    def test_internal_key_error_is_not_reported_as_a_column(self, capsys, monkeypatch):
+        def broken(dataset):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(cli, "canonical_classes", broken)
+        with pytest.raises(KeyError, match="internal"):
+            main(["classes", FIXTURE])
+
+
 class TestColumnNamesAreNfc:
     NFC, NFD = "caf\u00e9", "cafe\u0301"
 

@@ -11,13 +11,13 @@ from catent.entropy import (
     UndefinedRatioError,
     check_conditional_entropy_laws,
     conditional_entropy,
-    cross_check,
     entropic_ratio,
     entropy,
     joint_entropy,
     mutual_information,
     symmetric_uncertainty,
 )
+from catent.metric import cross_check
 from catent.model import (
     Dataset,
     StructuralError,
@@ -268,18 +268,44 @@ class TestCrossCheck:
         for a in names:
             for b in names:
                 pa, pb = parts(internship, a, b)
-                assert cross_check(pa, pb).max_gap <= 1e-9
+                assert cross_check(pa, pb).passed
 
     def test_constant_pair_has_no_distance_gap(self):
         d = Dataset.from_columns({"a": ["k"] * 3, "b": ["m"] * 3})
-        chk = cross_check(*parts(d, "a", "b"))
-        assert chk.distance_gap is None
-        assert chk.max_gap <= 1e-9
+        report = cross_check(*parts(d, "a", "b"))
+        assert report.check("distance").nonvacuous == 0
+        assert report.passed
 
     @given(strategies.datasets(min_cols=2, max_cols=2))
     @settings(max_examples=100)
     def test_gaps_tiny_everywhere(self, d):
-        assert cross_check(*parts(d, "c0", "c1")).max_gap <= 1e-9
+        assert cross_check(*parts(d, "c0", "c1")).passed
+
+    def test_each_route_pair_is_one_instance_with_both_values(self, internship):
+        x, y = parts(internship, "Creativity", "GotHired")
+        report = cross_check(x, y)
+        assert [c.name for c in report.checks] == [
+            "mutual_information", "symmetric_uncertainty", "distance"]
+        assert all(c.instances == c.nonvacuous == 1 for c in report.checks)
+        mi = report.check("mutual_information")
+        assert mi.lhs == entropy(x) - conditional_entropy(x, y)
+        assert mi.rhs == entropy(x) + entropy(y) - joint_entropy(x, y)
+        assert mi.worst_slack == -abs(mi.lhs - mi.rhs)
+
+    def test_perturbed_joint_route_fails_with_both_values(self, internship, monkeypatch):
+        # the check must be able to say no: a joint-entropy route off by 1e-6
+        x, y = parts(internship, "Creativity", "GotHired")
+        honest = joint_entropy(x, y)
+        monkeypatch.setattr("catent.metric.joint_entropy", lambda a, b: honest + 1e-6)
+        report = cross_check(x, y)
+        assert not report.passed
+        mi = report.check("mutual_information")
+        assert mi.violations == 1
+        assert mi.lhs == entropy(x) - conditional_entropy(x, y)
+        assert mi.rhs == entropy(x) + entropy(y) - (honest + 1e-6)
+        assert {c.name for c in report.failures()} == {
+            "mutual_information", "symmetric_uncertainty"}
+        assert f"lhs={mi.lhs!r} rhs={mi.rhs!r}" in report.summary()
 
 
 class TestConditionalEntropyLaws:

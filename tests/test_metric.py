@@ -347,6 +347,10 @@ class TestMergeReports:
         assert merged.passed
         assert merged.check("zero_on_indiscernible").instances == 3 + 1
 
+    def test_unknown_check_name_raises_keyerror(self, internship):
+        with pytest.raises(KeyError, match="no_such_axiom"):
+            distance_report(internship).check("no_such_axiom")
+
 
 def _per_triple_tally(dataset, triples=None, seed=0):
     """Per-law (instances, nonvacuous, violations, passed) from one

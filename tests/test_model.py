@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from catent.entropy import conditional_entropy
 from catent.model import (
     CategoricalVariable,
+    ContingencyTable,
     Dataset,
     Partition,
     StructuralError,
@@ -98,6 +99,27 @@ class TestDataset:
         d = Dataset.from_columns({"a": ["x", "y"]})
         with pytest.raises(KeyError):
             d["missing"]
+
+    def test_non_string_name_rejected_by_from_columns(self):
+        with pytest.raises(StructuralError, match="column name 0 is not a string"):
+            Dataset.from_columns({0: ["x", "y"], 1: ["p", "q"]})
+
+    def test_non_string_name_rejected_by_constructor(self):
+        v = CategoricalVariable(1, ("x", "y"))
+        with pytest.raises(StructuralError, match="column name 1 is not a string"):
+            Dataset({1: v}, (Fraction(1, 2), Fraction(1, 2)))
+
+    def test_no_rows_rejected(self):
+        with pytest.raises(StructuralError, match="dataset has no rows"):
+            Dataset({}, ())
+
+    def test_column_must_be_a_variable(self):
+        with pytest.raises(StructuralError, match="'a' is not a CategoricalVariable"):
+            Dataset({"a": ("x", "y")}, (Fraction(1, 2), Fraction(1, 2)))
+
+    def test_no_columns_rejected(self):
+        with pytest.raises(StructuralError, match="at least one column"):
+            Dataset.from_columns({})
 
 
 class TestInducedPartition:
@@ -315,6 +337,17 @@ class TestContingency:
     def test_cells_sum_to_one(self, d):
         table = contingency(d["c0"], d["c1"], d)
         assert sum(sum(row) for row in table.counts) == 1
+
+    @pytest.mark.parametrize("rows, cols, counts, message", [
+        (("x", "y"), ("p",), ((Fraction(1),),), "one count row per row-alphabet entry"),
+        (("x", "y"), ("p", "q"), ((Fraction(1, 2), Fraction(1, 4)), (Fraction(1, 4),)),
+         "one count per col-alphabet entry"),
+        (("x",), ("p", "q"), ((Fraction(3, 2), Fraction(-1, 2)),), "must be nonnegative"),
+        (("x",), ("p", "q"), ((Fraction(1, 2), Fraction(1, 4)),), "must sum to 1"),
+    ], ids=["row_count", "ragged_row", "negative_mass", "mass_not_one"])
+    def test_malformed_table_rejected(self, rows, cols, counts, message):
+        with pytest.raises(StructuralError, match=message):
+            ContingencyTable(rows, cols, counts)
 
 
 class TestCanonicalClass:
