@@ -3,9 +3,9 @@
 CSV contract: UTF-8, header row of column names, one record per row,
 standard quoting (quoted fields may contain delimiters, quotes and
 newlines).  Cell text and header names are NFC-normalised on load.
-Empty cells either become the ordinary category ``"<NA>"`` (default) or
-drop the whole row with uniform re-weighting of the remainder, chosen
-by ``CsvSpec.na_policy``.
+Empty cells either become the ordinary category ``"<NA>"`` (default) or,
+with ``CsvSpec.drop_na``, drop the whole row with uniform re-weighting of
+the remainder.
 
 Distance matrices serialise to TSV (header row and row labels) or JSON
 (``{"names": [...], "values": [[...]]}``); numbers are written with 17
@@ -28,7 +28,6 @@ from .metric import DistanceMatrix
 from .model import CatentError, Dataset, format_label
 
 NA_LABEL = "<NA>"
-NA_POLICIES = ("keep-as-category", "drop-row")
 
 INTERNSHIP = "internship.csv"
 INDISCERNIBLES = "indiscernibles.csv"
@@ -61,17 +60,13 @@ class CsvSpec:
     ``"`` and the line breaks ``\r`` and ``\n``."""
 
     delimiter: str = ","
-    na_policy: str = "keep-as-category"
+    drop_na: bool = False
 
     def __post_init__(self):
         if len(self.delimiter) != 1:
             raise ParseError("delimiter must be a single character")
         if self.delimiter in '"\r\n':  # these already mean something in CSV
             raise ParseError(f"delimiter {self.delimiter!r} is the quote or a line break")
-        if self.na_policy not in NA_POLICIES:
-            raise ParseError(
-                f"unknown NA policy {self.na_policy!r}; expected one of {NA_POLICIES}"
-            )
 
 
 Source = Union[str, Path, TextIO]
@@ -101,7 +96,6 @@ def _open_source(source: Source) -> Iterator[TextIO]:
 def load_csv(source: Source, spec: CsvSpec = CsvSpec()) -> Dataset:
     """Read a categorical dataset from a path, an open stream, or ``"-"``
     (stdin).  Rows get uniform weights."""
-    drop_na = spec.na_policy == "drop-row"
     rows: list[list[str]] = []
     with _open_source(source) as stream:
         reader = csv.reader(stream, delimiter=spec.delimiter)
@@ -122,7 +116,7 @@ def load_csv(source: Source, spec: CsvSpec = CsvSpec()) -> Dataset:
                         f"expected {len(names)} fields, got {len(record)}",
                         line=reader.line_num,
                     )
-                if not (drop_na and "" in record):
+                if not (spec.drop_na and "" in record):
                     rows.append(record)
         except csv.Error as exc:
             raise ParseError(str(exc), line=reader.line_num) from exc

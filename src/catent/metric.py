@@ -109,13 +109,6 @@ class DistanceMatrix:
     def value(self, a: str, b: str) -> float:
         return self.values[self.names.index(a)][self.names.index(b)]
 
-    def __getitem__(self, pair: tuple[str, str]) -> float:
-        return self.value(*pair)
-
-    @property
-    def size(self) -> int:
-        return len(self.names)
-
 
 def distance_matrix(dataset: Dataset, subset: Sequence[str] | None = None) -> DistanceMatrix:
     """Pairwise distance matrix over all columns or a named subset."""

@@ -300,14 +300,6 @@ class ContingencyTable:
         if sum(c for row in self.counts for c in row) != 1:
             raise StructuralError("cell masses must sum to 1")
 
-    @cached_property
-    def row_marginals(self) -> tuple[Fraction, ...]:
-        return tuple(sum(row) for row in self.counts)
-
-    @cached_property
-    def col_marginals(self) -> tuple[Fraction, ...]:
-        return tuple(sum(col) for col in zip(*self.counts))
-
     def mass(self, row_label: Label, col_label: Label) -> Fraction:
         """Joint mass of one (row label, column label) cell."""
         i = self.row_alphabet.index(row_label)
@@ -329,17 +321,12 @@ def trivial_partition(dataset: Dataset) -> Partition:
     return _on_rows((0,) * dataset.row_count, dataset)
 
 
-def ensure_same_universe(p: Partition, q: Partition) -> None:
-    """Raise unless both partitions carve the same weighted row universe."""
-    if (p.scale, p.multiplicities) != (q.scale, q.multiplicities):
-        raise StructuralError("partitions live on different row universes")
-
-
 def cell_keys(p: Partition, q: Partition) -> Sequence[int]:
     """Row r's contingency cell as the integer ``p.codes[r] * q.n_blocks
     + q.codes[r]``, for every row in order, from one multiply-add on the
-    packed codes."""
-    ensure_same_universe(p, q)
+    packed codes; raises unless both carve the same weighted row universe."""
+    if (p.scale, p.multiplicities) != (q.scale, q.multiplicities):
+        raise StructuralError("partitions live on different row universes")
     rows = len(p.codes)
     width, fmt = _field(rows)
     raw = (p.packed * len(q.counts) + q.packed).to_bytes(rows * width, sys.byteorder)

@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from catent import cli, randgen
-from catent.cli import MAX_RANDOM, main
+from catent import cli, metric, randgen
+from catent.cli import MAX_RANDOM, MAX_SAMPLES, main
 from catent.entropy import check_conditional_entropy_laws
 from catent.ingest import INDISCERNIBLES, INTERNSHIP, fixture_path
 from catent.metric import MAX_DEMO_STEPS
@@ -365,6 +365,17 @@ class TestJoint:
         assert out == "" and "quote or a line break" in err
         assert not target.exists()
 
+    def test_drop_na_and_delimiter_reach_the_written_csv(self, capsys, tmp_path):
+        data = tmp_path / "semi.csv"
+        data.write_text("a;b;c\nx;p;u\n;q;v\ny;;w\nx;q;u\ny;p;v\n", encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "joint", str(data), "a", "b", "--delimiter", ";", "--drop-na"
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            "a;b;c;(a*b)\r\nx;p;u;(x,p)\r\nx;q;u;(x,q)\r\ny;p;v;(y,p)\r\n"
+        )
+
 
 class TestRefusals:
     """A refusal is one ``error:`` line on stderr, exit 2 and nothing on stdout."""
@@ -443,6 +454,29 @@ class TestSampleSize:
         assert code == 2
         assert out == ""
         assert "at least 1" in err
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(cli, "load_csv", refuse)
+        monkeypatch.setattr(metric, "_sampled", refuse)
+
+    SAMPLE_FLAGS = [("check-metric", "--triples"), ("check-monoid", "--triples"),
+                    ("check-lemma2", "--triples"), ("check-monoid", "--quadruples")]
+
+    @pytest.mark.parametrize("command, flag", SAMPLE_FLAGS)
+    def test_sample_above_cap_is_refused_before_any_work(self, capsys, no_work, command, flag):
+        argv = (command, FIXTURE, flag, str(MAX_SAMPLES + 1))
+        assert run_cli(capsys, *argv) == (
+            2, "", f"error: {flag} must be at most {MAX_SAMPLES}\n"
+        )
+
+    @pytest.mark.parametrize("command, flag", SAMPLE_FLAGS)
+    def test_sample_at_cap_is_accepted(self, capsys, no_work, command, flag):
+        with pytest.raises(AssertionError, match="work started"):
+            main([command, FIXTURE, flag, str(MAX_SAMPLES)])
 
 
 class TestGenerationCaps:

@@ -100,19 +100,17 @@ class TestLoadCsv:
         assert d["a"].labels == (NA_LABEL, "x")
 
     def test_na_drop_row_reweights(self):
-        d = csv_dataset("a,b\n,p\nx,q\nx,r\n", na_policy="drop-row")
+        d = csv_dataset("a,b\n,p\nx,q\nx,r\n", drop_na=True)
         assert d.row_count == 2
         assert float(sum(d.row_weights)) == pytest.approx(1.0, abs=1e-15)
 
     def test_drop_all_rows_rejected(self):
         with pytest.raises(EmptyDatasetError):
-            csv_dataset("a,b\n,\nx,\n", na_policy="drop-row")
+            csv_dataset("a,b\n,\nx,\n", drop_na=True)
 
     def test_bad_spec_rejected(self):
         with pytest.raises(ParseError):
             CsvSpec(delimiter=",,")
-        with pytest.raises(ParseError):
-            CsvSpec(na_policy="imagine")
 
     @pytest.mark.parametrize("delimiter", ['"', "\r", "\n"], ids=["quote", "cr", "lf"])
     def test_quote_and_line_breaks_are_not_delimiters(self, delimiter):
@@ -192,7 +190,7 @@ class TestIngestBytes:
     def assert_loads_as_row_by_row(self, text, **spec_kw):
         d = csv_dataset(text, **spec_kw)
         expected, weights = row_by_row(
-            text, spec_kw.get("delimiter", ","), spec_kw.get("na_policy") == "drop-row"
+            text, spec_kw.get("delimiter", ","), spec_kw.get("drop_na", False)
         )
         assert d.names == tuple(expected)
         for n, (labels, alphabet, codes) in expected.items():
@@ -205,7 +203,7 @@ class TestIngestBytes:
         assert save_csv(d) == "a,b\r\n<NA>,p\r\nx,<NA>\r\nx,q\r\n"
 
     def test_na_drop_row_text_and_weights(self):
-        d = self.assert_loads_as_row_by_row("a,b\n,p\nx,q\ny,r\nz,\n", na_policy="drop-row")
+        d = self.assert_loads_as_row_by_row("a,b\n,p\nx,q\ny,r\nz,\n", drop_na=True)
         assert d.row_weights == (Fraction(1, 2),) * 2
         assert save_csv(d) == "a,b\r\nx,q\r\ny,r\r\n"
 

@@ -1,18 +1,21 @@
-"""Exhaustive checks over Pi_n, the set partitions of n uniform rows.
+"""Exhaustive checks over Pi_n, the set partitions of n rows.
 
 Pi_3 has 5 partitions and Pi_4 has 15, so every ordered triple and
 quadruple is checked.  The SU-distance fails the triangle inequality on
 both and the joint stays contractive; the oracle in ``tests/oracle.py``
-recomputes every tally from label strings.  The contractivity checker is
-also run, through a patched ``catent.algebra.partition_distance``, on
-distances whose verdicts are known both ways: the joint is not
-contractive for the entropy gap ``|H(x) - H(y)|``, and it is for the
-Rajski distance and the variation of information (Meila 2007; Vinh, Epps
-& Bailey 2010).
+recomputes every tally from label strings.  Both lattices are checked on
+uniform rows and on fixed non-uniform weights, which the oracle reads as
+the uniform expansion (row r repeated ``repeats[r]`` times).  The
+contractivity checker is also run, through a patched
+``catent.algebra.partition_distance``, on distances whose verdicts are
+known both ways: the joint is not contractive for the entropy gap
+``|H(x) - H(y)|``, and it is for the Rajski distance and the variation
+of information (Meila 2007; Vinh, Epps & Bailey 2010).
 """
 
 import functools
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -25,20 +28,34 @@ from catent.model import Dataset, canonical_classes, join
 import oracle
 
 
-def lattice(n: int) -> Dataset:
-    """Pi_n as a dataset: one column per set partition, named by its blocks."""
+def lattice(n: int, repeats=None) -> Dataset:
+    """Pi_n as a dataset: one column per set partition, named by its blocks.
+    With ``repeats``, row r weighs ``repeats[r] / sum(repeats)``."""
+    weights = None if repeats is None else [Fraction(m, sum(repeats)) for m in repeats]
     return Dataset.from_columns(
-        {oracle.block_name(codes): codes for codes in oracle.set_partitions(n)}
+        {oracle.block_name(codes): codes for codes in oracle.set_partitions(n)}, weights
     )
 
 
-def kernel_tally(n: int, width: int, slack) -> tuple[int, float]:
-    """``(violations, worst slack)`` of ``slack`` over every ordered
-    ``width``-tuple of Pi_n, on ``partition_distance`` and ``join``."""
-    parts = list(canonical_classes(lattice(n)).values())
+def kernel_tally(n: int, width: int, slack, repeats=None) -> tuple[int, float, tuple]:
+    """``(violations, worst slack, first worst instance)`` of ``slack`` over
+    every ordered ``width``-tuple of Pi_n, on ``partition_distance`` and
+    ``join``; the instance is a tuple of block names."""
+    parts = canonical_classes(lattice(n, repeats))
     d, j = functools.cache(partition_distance), functools.cache(join)
-    margins = [slack(d, j, *t) for t in itertools.product(parts, repeat=width)]
-    return sum(m < -TOLERANCE for m in margins), min(margins)
+    margins = {t: slack(d, j, *map(parts.get, t))
+               for t in itertools.product(parts, repeat=width)}
+    witness = min(margins, key=margins.get)
+    return sum(m < -TOLERANCE for m in margins.values()), margins[witness], witness
+
+
+def expanded_distance(repeats):
+    """The oracle distance on the uniform expansion, where row r of a
+    restricted growth string is repeated ``repeats[r]`` times."""
+    def expand(codes):
+        return tuple(c for c, m in zip(codes, repeats) for _ in range(m))
+
+    return lambda xs, ys: oracle.oracle_distance(expand(xs), expand(ys))
 
 
 def rajski(x, y) -> float:
@@ -84,13 +101,53 @@ class TestPi4Kernels:
         contractivity = kernel_tally(4, 4, oracle.contractivity_slack)
         assert triangle[0] == 276
         assert contractivity[0] == 0
-        for (violations, worst), width, slack in (
+        for (violations, worst, _), width, slack in (
             (triangle, 3, oracle.triangle_slack),
             (contractivity, 4, oracle.contractivity_slack),
         ):
             want, want_worst, _ = oracle.lattice_tally(4, width, slack)
             assert violations == want
             assert worst == pytest.approx(want_worst, abs=oracle.FROZEN_TOL)
+
+
+class TestWeightedUniverses:
+    """Pi_3 and Pi_4 on non-uniform rows: every kernel takes its masses
+    from the integer multiplicities, and the oracle sees the same lattice
+    on the uniform expansion."""
+
+    PI3, PI4 = (2, 1, 1), (3, 1, 1, 1)  # weights (1/2, 1/4, 1/4) and (1/2, 1/6, 1/6, 1/6)
+
+    @staticmethod
+    def assert_differs_from_uniform(n, worst):
+        # the counts equal the uniform ones; the worst slack does not
+        uniform = oracle.lattice_tally(n, 3, oracle.triangle_slack)[1]
+        assert worst != pytest.approx(uniform, abs=1e-6)
+
+    def test_pi3_validators_match_the_oracle(self):
+        data = lattice(3, self.PI3)
+        tri = check_distance_axioms(
+            distance_matrix(data), canonical_classes(data)
+        ).check("triangle_inequality")
+        want, want_worst, want_witness = oracle.lattice_tally(
+            3, 3, oracle.triangle_slack, expanded_distance(self.PI3))
+        assert (tri.instances, tri.violations) == (125, want)
+        assert tri.worst_slack == pytest.approx(want_worst, abs=oracle.FROZEN_TOL)
+        assert tri.witness == tuple(map(oracle.block_name, want_witness))
+        self.assert_differs_from_uniform(3, tri.worst_slack)
+        check = check_contractivity(data).check("contractivity")
+        assert (check.instances, check.violations) == (625, 0)
+        assert oracle.lattice_tally(
+            3, 4, oracle.contractivity_slack, expanded_distance(self.PI3))[0] == 0
+
+    def test_pi4_kernels_match_the_oracle(self):
+        violations, worst, witness = kernel_tally(4, 3, oracle.triangle_slack, self.PI4)
+        want, want_worst, want_witness = oracle.lattice_tally(
+            4, 3, oracle.triangle_slack, expanded_distance(self.PI4))
+        assert violations == want
+        assert worst == pytest.approx(want_worst, abs=oracle.FROZEN_TOL)
+        assert witness == tuple(map(oracle.block_name, want_witness))
+        self.assert_differs_from_uniform(4, worst)
+        assert kernel_tally(4, 4, oracle.contractivity_slack, self.PI4)[0] == 0
 
 
 class TestContractivityControls:

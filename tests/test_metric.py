@@ -91,17 +91,18 @@ class TestDistanceValues:
 class TestDistanceMatrix:
     def test_fixture_matrix_shape_and_entries(self, internship):
         m = distance_matrix(internship)
-        assert m.size == 6
+        n = len(m.names)
+        assert n == 6
         assert m.names == internship.names
-        assert all(type(row) is tuple and len(row) == m.size for row in m.values)
+        assert all(type(row) is tuple and len(row) == n for row in m.values)
         assert all(type(v) is float for row in m.values for v in row)
-        for i, j in itertools.product(range(m.size), repeat=2):
+        for i, j in itertools.product(range(n), repeat=2):
             assert m.values[i][j] == m.values[j][i]
-        assert all(m.values[i][i] == 0.0 for i in range(m.size))
+        assert all(m.values[i][i] == 0.0 for i in range(n))
         assert m.value("Creativity", "GotHired") == pytest.approx(
             oracle.DIST_CREATIVITY_GOTHIRED, abs=oracle.FROZEN_TOL
         )
-        assert m["GotHired", "Creativity"] == m.value("Creativity", "GotHired")
+        assert m.value("GotHired", "Creativity") == m.value("Creativity", "GotHired")
 
     def test_subset_obeys_given_order(self, internship):
         m = distance_matrix(internship, subset=["GotHired", "Neatness"])
@@ -144,7 +145,7 @@ class TestDistanceMatrix:
         data, _ = drawn
         m = distance_matrix(data)
         parts = [induced_partition(data[nm], data) for nm in m.names]
-        for i, j in itertools.product(range(m.size), repeat=2):
+        for i, j in itertools.product(range(len(m.names)), repeat=2):
             lo, hi = parts[min(i, j)], parts[max(i, j)]
             want = 0.0 if i == j else partition_distance(lo, hi)
             assert m.values[i][j] == want

@@ -316,13 +316,19 @@ class TestContingency:
             assert table.mass(r, c) == mass
 
     def test_marginals_match_column_distributions(self, internship):
+        # a column's marginal is its partition's block_probs: the table's rows
+        # follow the alphabet, which is also the block order
         table = contingency(internship["Creativity"], internship["GotHired"], internship)
-        assert set(table.row_marginals) == oracle.oracle_marginals(
+        x = induced_partition(internship["Creativity"], internship)
+        y = induced_partition(internship["GotHired"], internship)
+        assert set(x.block_probs) == oracle.oracle_marginals(
             oracle.internship_column("Creativity")
         )
-        assert set(table.col_marginals) == oracle.oracle_marginals(
+        assert set(y.block_probs) == oracle.oracle_marginals(
             oracle.internship_column("GotHired")
         )
+        assert tuple(map(sum, table.counts)) == x.block_probs
+        assert tuple(map(sum, zip(*table.counts))) == y.block_probs
 
     def test_self_table_is_diagonal(self):
         d = Dataset.from_columns({"a": ["x", "y", "x", "z"]})
