@@ -29,7 +29,7 @@ from .entropy import (
     mutual_information,
     symmetric_uncertainty,
 )
-from .ingest import CsvSpec, IngestError, load_csv, save_csv, save_matrix
+from .ingest import CsvSpec, load_csv, save_csv, save_matrix
 from .metric import (
     MAX_DEMO_STEPS,
     AxiomReport,
@@ -47,6 +47,13 @@ from .randgen import MODES, GenConfig, gen_dataset
 MAX_RANDOM = 100_000
 # --triples and --quadruples are drawn up front; a hundred times DEFAULT_SAMPLES
 MAX_SAMPLES = 100_000
+# joint nests one label level per column, and labels are formatted and compared
+# recursively: far below the interpreter's recursion limit, even from a deep stack
+MAX_JOINT = 100
+# columns per dataset from --random; the generator's other flags, by dest
+RANDOM_COLUMNS = 3
+_GEN_FLAGS = {"gen_columns": "--columns", "rows": "--rows",
+              "alphabet_size": "--alphabet", "correlation_mode": "--mode"}
 
 
 def _fmt(value: float, full: bool) -> str:
@@ -73,14 +80,10 @@ def _column(name: str) -> str:
     return unicodedata.normalize("NFC", name)
 
 
-class _Usage(Exception):
-    """A refusal of the command line: printed as ``error: ...``, exit 2."""
-
-
 def _require_columns(dataset, names):
     for name in names:
         if name not in dataset:
-            raise _Usage(f"unknown column {name!r}")
+            raise ValueError(f"unknown column {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +122,7 @@ def _cmd_rank(args) -> int:
     _require_columns(dataset, [args.cls])
     others = [name for name in dataset.names if name != args.cls]
     if not others:
-        raise _Usage("dataset has no feature columns besides the class")
+        raise ValueError("dataset has no feature columns besides the class")
     target = induced_partition(dataset[args.cls], dataset)
     scored = [
         (symmetric_uncertainty(induced_partition(dataset[name], dataset), target), name)
@@ -144,17 +147,19 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_joint(args) -> int:
+    if len(args.cols) > MAX_JOINT:
+        raise ValueError(f"joint takes at most {MAX_JOINT} columns")
     dataset = _load(args)
     _require_columns(dataset, args.cols)
     if len(args.cols) < 2:
-        raise _Usage("joint needs at least two columns")
+        raise ValueError("joint needs at least two columns")
     combined = reduce(
         lambda acc, name: joint(acc, dataset[name], dataset),
         args.cols[1:],
         dataset[args.cols[0]],
     )
     if combined.name in dataset:
-        raise _Usage(f"column {combined.name!r} already exists")
+        raise ValueError(f"column {combined.name!r} already exists")
     _emit(save_csv(dataset.with_column(combined), spec=_csv_spec(args)), args.out)
     return 0
 
@@ -179,35 +184,38 @@ def _add_random_options(sub):
     sub.add_argument("--random", type=int, metavar="N",
                      help="generate N seeded datasets instead of reading DATA")
     sub.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    sub.add_argument("--columns", dest="gen_columns", type=int, default=3,
-                     help="columns per generated dataset (default 3)")
-    sub.add_argument("--rows", nargs=2, type=int, default=[2, 12],
-                     metavar=("LO", "HI"), help="row-count range (default 2 12)")
-    sub.add_argument("--alphabet", nargs=2, type=int, default=[1, 4],
-                     metavar=("LO", "HI"), help="alphabet-size range (default 1 4)")
-    sub.add_argument("--mode", choices=MODES, default="arbitrary",
-                     help="correlation mode for generated datasets")
+    # no argparse defaults, so that a given flag shows in args; GenConfig has them
+    sub.add_argument("--columns", dest="gen_columns", type=int, default=argparse.SUPPRESS,
+                     help=f"columns per generated dataset (default {RANDOM_COLUMNS})")
+    sub.add_argument("--rows", nargs=2, type=int, default=argparse.SUPPRESS, metavar=("LO", "HI"),
+                     help="row-count range (default %d %d)" % GenConfig.rows)
+    sub.add_argument("--alphabet", dest="alphabet_size", nargs=2, type=int,
+                     default=argparse.SUPPRESS, metavar=("LO", "HI"),
+                     help="alphabet-size range (default %d %d)" % GenConfig.alphabet_size)
+    sub.add_argument("--mode", dest="correlation_mode", choices=MODES, default=argparse.SUPPRESS,
+                     help=f"correlation mode (default {GenConfig.correlation_mode})")
 
 
 def _datasets_under_test(args):
     """Yield (tag, dataset) pairs from DATA or from the generator."""
+    given = {dest: tuple(v) if isinstance(v, list) else v
+             for dest, v in vars(args).items() if dest in _GEN_FLAGS}
     if args.data is not None and args.random is not None:
-        raise _Usage("give either DATA or --random, not both")
+        raise ValueError("give either DATA or --random, not both")
     if args.data is not None:
+        if given:
+            raise ValueError(f"{_GEN_FLAGS[next(iter(given))]} applies only to --random")
         yield args.data, _load(args)
         return
     if args.random is None:
-        raise _Usage("either DATA or --random N is required")
+        raise ValueError("either DATA or --random N is required")
+    if _csv_spec(args) != CsvSpec():
+        raise ValueError("--delimiter and --drop-na apply only to DATA")
     if not 1 <= args.random <= MAX_RANDOM:
-        raise _Usage(f"--random must be at least 1 and at most {MAX_RANDOM}")
+        raise ValueError(f"--random must be at least 1 and at most {MAX_RANDOM}")
+    columns = given.pop("gen_columns", RANDOM_COLUMNS)
     for i in range(args.random):
-        config = GenConfig(
-            seed=args.seed + i,
-            rows=tuple(args.rows),
-            alphabet_size=tuple(args.alphabet),
-            correlation_mode=args.mode,
-        )
-        yield f"seed={args.seed + i}", gen_dataset(config, args.gen_columns)
+        yield f"seed={args.seed + i}", gen_dataset(GenConfig(seed=args.seed + i, **given), columns)
 
 
 def _metric_reports(dataset, args):
@@ -240,7 +248,7 @@ def _cmd_check(validators, summary, args) -> int:
     """Run a command's validators on every dataset under test; print with ``summary``."""
     for flag in ("triples", "quadruples"):
         if (vars(args).get(flag) or 0) > MAX_SAMPLES:
-            raise _Usage(f"--{flag} must be at most {MAX_SAMPLES}")
+            raise ValueError(f"--{flag} must be at most {MAX_SAMPLES}")
     merged, failures = AxiomReport(()), []  # folded as reports arrive: memory stays flat
     for tag, dataset in _datasets_under_test(args):
         for report in validators(dataset, args):
@@ -368,8 +376,8 @@ def main(argv=None) -> int:
         # stdout goes to devnull so the final flush stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE, as a shell reports a writer killed by the signal
-    # StructuralError and ConfigError are ValueErrors; IngestError is not
-    except (_Usage, IngestError, OSError, ValueError) as exc:
+    # every refusal of bad input or usage is a ValueError
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -33,24 +33,13 @@ INTERNSHIP = "internship.csv"
 INDISCERNIBLES = "indiscernibles.csv"
 
 
-class IngestError(CatentError):
-    """Base class for input/output errors."""
-
-
-class ParseError(IngestError):
-    """Malformed input; ``line`` is the 1-based physical line number."""
+class ParseError(CatentError, ValueError):
+    """Malformed or empty input, or colliding column names; ``line`` is
+    the 1-based physical line number when one applies."""
 
     def __init__(self, message: str, line: int | None = None):
         super().__init__(f"line {line}: {message}" if line else message)
         self.line = line
-
-
-class EmptyDatasetError(IngestError):
-    """The input contains no header or no data rows."""
-
-
-class NameCollisionError(IngestError):
-    """Two header fields normalise to the same column name."""
 
 
 @dataclass(frozen=True)
@@ -103,13 +92,13 @@ def load_csv(source: Source, spec: CsvSpec = CsvSpec()) -> Dataset:
         try:
             header = next(reader, None)
             if header is None:
-                raise EmptyDatasetError("input has no header row")
+                raise ParseError("input has no header row")
             names = [unicodedata.normalize("NFC", h) for h in header]
             if any(not n for n in names):
                 raise ParseError("empty column name in header", line=1)
             if len(set(names)) != len(names):
                 dupes = sorted({n for n in names if names.count(n) > 1})
-                raise NameCollisionError(f"duplicate column names: {dupes}")
+                raise ParseError(f"duplicate column names: {dupes}")
             for record in reader:
                 if len(record) != len(names):
                     raise ParseError(
@@ -122,7 +111,7 @@ def load_csv(source: Source, spec: CsvSpec = CsvSpec()) -> Dataset:
             raise ParseError(str(exc), line=reader.line_num) from exc
 
     if not rows:
-        raise EmptyDatasetError("input has no data rows")
+        raise ParseError("input has no data rows")
 
     # one tuple per column; an empty cell is the category NA_LABEL, so only
     # a column that has one is rewritten
@@ -227,6 +216,8 @@ def load_matrix(source: Source, fmt: str = "tsv") -> DistanceMatrix:
             raise ParseError("matrix has no names")
         # the matrix itself refuses duplicate names and a body that does not fit them
         return DistanceMatrix(names, values)
+    except ParseError:  # the refusals above are already worded
+        raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed matrix {fmt.upper()}: {exc}") from exc
 

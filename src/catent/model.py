@@ -43,7 +43,9 @@ Label = Hashable
 
 
 class CatentError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class of catent's own error types; every refusal of bad input
+    (``StructuralError``, ``ConfigError``, ``ParseError``) is also a
+    ``ValueError``."""
 
 
 class StructuralError(CatentError, ValueError):

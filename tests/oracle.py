@@ -219,6 +219,15 @@ def contractivity_slack(d, join, x, y, z, w) -> float:
     return d(x, z) + d(y, w) - d(join(x, y), join(z, w))
 
 
+def relaxed_triangle_slack(factor: float):
+    """The slack of the ``factor``-relaxed triangle inequality
+    ``d(x,z) <= factor * (d(x,y) + d(y,z))``; ``factor`` 1 is the triangle."""
+    def slack(d, join, x, y, z) -> float:
+        return factor * (d(x, y) + d(y, z)) - d(x, z)
+
+    return slack
+
+
 # ---------------------------------------------------------------------------
 # label text: catent only writes it, so its inverse lives with the tests
 

@@ -1,3 +1,4 @@
+import functools
 import importlib
 import io
 import itertools
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from catent import cli, metric, randgen
-from catent.cli import MAX_RANDOM, MAX_SAMPLES, main
+from catent.cli import MAX_JOINT, MAX_RANDOM, MAX_SAMPLES, main
 from catent.entropy import check_conditional_entropy_laws
 from catent.ingest import INDISCERNIBLES, INTERNSHIP, fixture_path
 from catent.metric import MAX_DEMO_STEPS
@@ -343,6 +344,27 @@ class TestJoint:
         # bytes: the CSV's \r\n record ends must reach the file as printed
         assert target.read_bytes() == printed.encode("utf-8")
 
+    def test_joint_of_max_columns(self, capsys, tmp_path):
+        # one nesting level per column; repeated rows compare equal nested labels
+        names = [f"c{i}" for i in range(MAX_JOINT)]
+        data = tmp_path / "wide.csv"
+        data.write_text("\n".join([",".join(names), *[",".join(["x"] * MAX_JOINT)] * 3,
+                                    ",".join(["y"] * MAX_JOINT)]) + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "joint", str(data), *names)
+        assert (code, err) == (0, "")
+        nested = functools.reduce(lambda acc, name: f"({acc}*{name})", names)
+        assert nested.startswith("(" * (MAX_JOINT - 1) + "c0*c1)")
+        assert out.splitlines()[0] == ",".join([*names, nested])
+
+    def test_joint_above_max_columns_is_refused_before_reading(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("input read")
+
+        monkeypatch.setattr(cli, "load_csv", refuse)
+        argv = ("joint", FIXTURE, *(f"c{i}" for i in range(MAX_JOINT + 1)))
+        assert run_cli(capsys, *argv) == (
+            2, "", f"error: joint takes at most {MAX_JOINT} columns\n"
+        )
 
     def test_existing_column_is_not_overwritten(self, capsys, tmp_path):
         data = tmp_path / "c.csv"
@@ -499,6 +521,62 @@ class TestGenerationCaps:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+
+CHECKS = ["check-metric", "check-monoid", "check-lemma2"]
+
+
+class TestFlagsThatDoNotApply:
+    """A check command refuses a flag its source of datasets would ignore:
+    the generator's flags with DATA, the CSV flags with ``--random``."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(cli, "load_csv", refuse)
+        monkeypatch.setattr(cli, "gen_dataset", refuse)
+
+    @pytest.mark.parametrize("command", CHECKS)
+    @pytest.mark.parametrize("flags", [
+        ("--columns", "7"), ("--rows", "100", "200"), ("--alphabet", "5", "9"),
+        ("--mode", "refined"), ("--mode", "refined", "--columns", "7"),
+    ], ids=["columns", "rows", "alphabet", "mode", "mode-and-columns"])
+    def test_generator_flag_with_data(self, capsys, no_work, command, flags):
+        assert run_cli(capsys, command, FIXTURE, *flags) == (
+            2, "", f"error: {flags[0]} applies only to --random\n"
+        )
+
+    @pytest.mark.parametrize("command", CHECKS)
+    @pytest.mark.parametrize("flags", [("--delimiter", ";"), ("--drop-na",)],
+                             ids=["delimiter", "drop-na"])
+    def test_csv_flag_with_random(self, capsys, no_work, command, flags):
+        assert run_cli(capsys, command, "--random", "2", *flags) == (
+            2, "", "error: --delimiter and --drop-na apply only to DATA\n"
+        )
+
+    def test_both_sources_keep_their_message(self, capsys, no_work):
+        argv = ("check-lemma2", FIXTURE, "--random", "2", "--rows", "3", "4", "--drop-na")
+        assert run_cli(capsys, *argv) == (
+            2, "", "error: give either DATA or --random, not both\n"
+        )
+
+    @pytest.mark.parametrize("command", CHECKS)
+    def test_generator_defaults_are_the_config_defaults(self, capsys, command):
+        spelled = ("--columns", "3", "--rows", "2", "12", "--alphabet", "1", "4",
+                   "--mode", "arbitrary", "--delimiter", ",")
+        implicit = run_cli(capsys, command, "--random", "5")
+        assert implicit[0] in (0, 1) and implicit[2] == ""
+        assert run_cli(capsys, command, "--random", "5", *spelled) == implicit
+
+    def test_flags_that_apply_to_data_are_accepted(self, capsys, tmp_path):
+        data = tmp_path / "semi.csv"
+        data.write_text("a;b;c\nx;p;u\n;q;v\ny;p;w\nx;q;u\n", encoding="utf-8")
+        argv = ("check-lemma2", str(data), "--delimiter", ";", "--drop-na", "--seed", "3")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.endswith("overall: PASS\n")
 
 
 class TestCheckMetric:

@@ -2,7 +2,8 @@
 
 Pi_3 has 5 partitions and Pi_4 has 15, so every ordered triple and
 quadruple is checked.  The SU-distance fails the triangle inequality on
-both and the joint stays contractive; the oracle in ``tests/oracle.py``
+both, holds relaxed by 3/2 (Paluszynski & Stempak 2009 on such
+quasi-metrics), and the joint stays contractive; the oracle in ``tests/oracle.py``
 recomputes every tally from label strings.  Both lattices are checked on
 uniform rows and on fixed non-uniform weights, which the oracle reads as
 the uniform expansion (row r repeated ``repeats[r]`` times).  The
@@ -172,3 +173,48 @@ class TestContractivityControls:
             assert check.worst_slack == pytest.approx(-2 / 3, abs=oracle.FROZEN_TOL)
             assert check.witness == ("01|2", "01|2", "01|2", "02|1")
             assert tuple(map(oracle.block_name, want_witness)) == check.witness
+
+
+class TestRelaxedTriangle:
+    """``1 - SU`` fails the triangle inequality but, as measured on Pi_3 to
+    Pi_6 and on the acceptance seeds, satisfies it relaxed by 3/2:
+    ``d(x,z) <= 3/2 * (d(x,y) + d(y,z))``.  The bound is attained on Pi_4
+    by two independent columns of equal entropy and their join, and 1.49
+    is too tight there.  Measured, not proved."""
+
+    WITNESS = ("01|23", "0|1|2|3", "02|13")  # x, y = x*z, z
+
+    @pytest.mark.parametrize("n, repeats", [
+        (3, None), (4, None),
+        (3, TestWeightedUniverses.PI3), (4, TestWeightedUniverses.PI4),
+    ], ids=["pi3", "pi4", "pi3-weighted", "pi4-weighted"])
+    def test_three_halves_holds_on_every_triple(self, n, repeats):
+        slack = oracle.relaxed_triangle_slack(1.5)
+        distance = oracle.oracle_distance if repeats is None else expanded_distance(repeats)
+        assert kernel_tally(n, 3, slack, repeats)[0] == 0
+        assert oracle.lattice_tally(n, 3, slack, distance)[0] == 0
+
+    @classmethod
+    def witness_slack(cls, factor: float) -> tuple[float, float]:
+        """The relaxed slack at the witness, from the kernels and from the
+        oracle; computed directly, since the all-constant triple reaches the
+        minimum slack 0 first."""
+        slack = oracle.relaxed_triangle_slack(factor)
+        parts = canonical_classes(lattice(4))
+        codes = {oracle.block_name(c): c for c in oracle.set_partitions(4)}
+        return (slack(partition_distance, join, *map(parts.get, cls.WITNESS)),
+                slack(oracle.oracle_distance, None, *map(codes.get, cls.WITNESS)))
+
+    def test_independent_pair_attains_three_halves(self):
+        for value in self.witness_slack(1.5):
+            assert value == pytest.approx(0.0, abs=oracle.FROZEN_TOL)
+
+    def test_factor_below_three_halves_fails_on_pi4(self):
+        slack = oracle.relaxed_triangle_slack(1.49)
+        violations, worst, _ = kernel_tally(4, 3, slack)
+        want, want_worst, _ = oracle.lattice_tally(4, 3, slack)
+        assert violations == want == 6
+        assert worst == pytest.approx(-1 / 150, abs=oracle.FROZEN_TOL)
+        assert want_worst == pytest.approx(-1 / 150, abs=oracle.FROZEN_TOL)
+        for value in self.witness_slack(1.49):
+            assert value == pytest.approx(-1 / 150, abs=oracle.FROZEN_TOL)
