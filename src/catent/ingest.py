@@ -17,6 +17,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import sys
 import unicodedata
 from dataclasses import dataclass
@@ -180,14 +181,23 @@ def save_matrix(matrix: DistanceMatrix, fmt: str = "tsv", number_format: str = "
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _finite_float(literal: str) -> float:
+    # json.loads's parse_float; Infinity and NaN come through parse_constant
+    if math.isinf(value := float(literal)):
+        raise ParseError(f"matrix cell {literal} does not fit a float")
+    return value
+
+
 def load_matrix(source: Source, fmt: str = "tsv") -> DistanceMatrix:
     """Read a distance matrix written by ``save_matrix``.
 
     Names must be one or more distinct strings, TSV row labels must
     repeat the header's names in the same order, and the body must have
-    one row per name, each of one number per name (in JSON, a number
-    literal that fits a float); anything else raises ``ParseError``.
-    Cells become Python floats.  The values themselves are not validated:
+    one row per name, each of one number per name; anything else raises
+    ``ParseError``.  A JSON cell is a number literal that fits a float,
+    or ``Infinity``, ``-Infinity`` or ``NaN``.  A TSV cell is any text
+    ``float`` reads, ``1e999999`` (``inf``) included.  Cells become Python
+    floats.  The values themselves are not validated:
     ``check_distance_axioms`` reports asymmetry and the other axioms.
     """
     if fmt not in MATRIX_FORMATS:
@@ -196,7 +206,7 @@ def load_matrix(source: Source, fmt: str = "tsv") -> DistanceMatrix:
         text = stream.read()
     try:
         if fmt == "json":
-            payload = json.loads(text)
+            payload = json.loads(text, parse_float=_finite_float)
             names, rows = payload["names"], payload["values"]
             if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
                 raise ParseError("matrix names must be a list of strings")

@@ -14,8 +14,9 @@ column's class up to relabeling is its induced ``Partition``.  Exact
 ``Fraction`` values remain at the API (``row_weights``,
 ``Partition.block_probs``, ``Partition.signature``,
 ``ContingencyTable``).  Floats enter only when logarithms are taken: in
-``Partition.entropy``, which a partition computes once and caches, and
-in ``catent.entropy``.
+``catent.entropy`` and in ``Partition.entropy``.  A partition's cached
+attributes, ``entropy`` among them, are computed on first read and
+stored on the instance without a lock.
 
 Contingency cells are keyed by integer arithmetic.  A partition caches
 its codes ``packed`` into one integer, row r's code in field r; for two
@@ -31,10 +32,11 @@ import operator
 import sys
 import unicodedata
 from array import array
-from collections import Counter
+# CPython-private but always exported: the C helper from _collections, else a
+# pure-Python fallback in collections/__init__.py; Counter.update calls it too
+from collections import _count_elements
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import repeat
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, Sequence, Union
@@ -68,12 +70,27 @@ def _integer_weights(weights: tuple[Fraction, ...]) -> tuple[int, tuple[int, ...
 
 def _tally(keys: Iterable[Hashable], multiplicities: tuple[int, ...] | None) -> dict:
     # integer mass of every distinct key, in first-occurrence order
+    masses: dict = {}
     if multiplicities is None:
-        return Counter(keys)
-    masses: Counter = Counter()
-    for key, m in zip(keys, multiplicities):
-        masses[key] += m
+        _count_elements(masses, keys)
+    else:
+        for key, m in zip(keys, multiplicities):
+            masses[key] = masses.get(key, 0) + m
     return masses
+
+
+class _stored:
+    """A cached attribute: the first read stores it in the instance dict,
+    which later reads find before this non-data descriptor.  No lock."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = vars(obj)[self.name] = self.func(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -103,7 +120,7 @@ class CategoricalVariable:
             alphabet = tuple(dict.fromkeys(map(nfc.get, alphabet, alphabet)))
         vars(self).update(labels=labels, alphabet=alphabet)
 
-    @cached_property
+    @_stored
     def codes(self) -> tuple[int, ...]:
         """Position of each row's label in ``alphabet``."""
         index = {lab: i for i, lab in enumerate(self.alphabet)}
@@ -226,14 +243,14 @@ class Partition:
     def __init__(self, *args, **kwargs):
         raise TypeError("partitions come from induced_partition, join or trivial_partition")
 
-    @cached_property
+    @_stored
     def blocks(self) -> tuple[frozenset[int], ...]:
         rows: list[list[int]] = [[] for _ in self.counts]
         for r, b in enumerate(self.codes):
             rows[b].append(r)
         return tuple(map(frozenset, rows))
 
-    @cached_property
+    @_stored
     def block_probs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(c, self.scale) for c in self.counts)
 
@@ -247,14 +264,14 @@ class Partition:
     def n_blocks(self) -> int:
         return len(self.counts)
 
-    @cached_property
+    @_stored
     def packed(self) -> int:
         """``codes`` as one integer, row r's code in field r."""
         width, fmt = _field(len(self.codes))
         raw = bytes(self.codes) if width == 1 else array(fmt, self.codes)
         return int.from_bytes(raw, sys.byteorder)
 
-    @cached_property
+    @_stored
     def entropy(self) -> float:
         """Shannon entropy in bits, ``-sum P(B) log2 P(B)``; ``+0.0`` when zero."""
         scale = self.scale

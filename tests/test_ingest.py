@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import unicodedata
 from fractions import Fraction
 
@@ -354,6 +355,24 @@ class TestMatrixIO:
         text = f'{{"names": ["a", "b"], "values": [[0, {cell}], [0.5, 0]]}}'
         with pytest.raises(ParseError, match="numbers"):
             load_matrix(io.StringIO(text), fmt="json")
+
+    @pytest.mark.parametrize("literal", ["1e999999", "-1e999999"])
+    def test_json_float_literal_beyond_float_is_a_parse_error(self, literal):
+        text = f'{{"names": ["a", "b"], "values": [[0, {literal}], [{literal}, 0]]}}'
+        with pytest.raises(ParseError, match="does not fit a float"):
+            load_matrix(io.StringIO(text), fmt="json")
+
+    def test_json_infinity_loads_and_round_trips_bit_exactly(self):
+        text = '{"names": ["a", "b"], "values": [[0, Infinity], [-Infinity, 0]]}'
+        m = load_matrix(io.StringIO(text), fmt="json")
+        assert m.values == ((0.0, math.inf), (-math.inf, 0.0))
+        again = load_matrix(io.StringIO(save_matrix(m, fmt="json")), fmt="json")
+        assert [[v.hex() for v in row] for row in again.values] == [
+            [v.hex() for v in row] for row in m.values]
+
+    def test_tsv_cells_are_what_float_reads(self):
+        m = load_matrix(io.StringIO("\ta\tb\na\t0\t1e999999\nb\tinf\t0\n"), fmt="tsv")
+        assert m.value("a", "b") == m.value("b", "a") == math.inf
 
     def test_asymmetric_values_still_load(self):
         # reporting asymmetry is check_distance_axioms's job, not the loader's

@@ -1,4 +1,6 @@
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,8 +14,10 @@ from catent.model import (
     Dataset,
     Partition,
     StructuralError,
+    _tally,
     canonical_classes,
     cell_counts,
+    cell_keys,
     contingency,
     format_label,
     induced_partition,
@@ -297,6 +301,73 @@ class TestCellKeyFieldWidths:
             assert conditional_entropy(p, q) == pytest.approx(
                 oracle.oracle_conditional_entropy(expand(xs), expand(ys)), abs=1e-9
             ), (rows, a, b)
+
+
+def _counter_items(keys, multiplicities=None) -> list:
+    # the Counter a tally replaces: the reference masses, in first-occurrence order
+    if multiplicities is None:
+        return list(Counter(keys).items())
+    masses: Counter = Counter()
+    for key, m in zip(keys, multiplicities):
+        masses[key] += m
+    return list(masses.items())
+
+
+class TestTally:
+    """``_tally`` fills a plain dict with exactly a ``Counter``'s masses, in
+    first-occurrence key order, which join block numbers and every
+    ``cell_counts`` key follow."""
+
+    @pytest.mark.parametrize("rows, kind", [(16, bytes), (17, memoryview), (256, memoryview)])
+    def test_matches_counter_on_cell_keys(self, rows, kind):
+        d = _field_width_dataset(rows, weighted=False)
+        parts = {nm: induced_partition(d[nm], d) for nm in d.names}
+        mixed = tuple(1 + (r * 5) % 7 for r in range(rows))
+        for a, b in itertools.permutations(d.names, 2):
+            keys = cell_keys(parts[a], parts[b])
+            assert type(keys) is kind and (kind is bytes or keys.format == "H")
+            for mult in (None, mixed):
+                got = _tally(keys, mult)
+                assert type(got) is dict
+                assert list(got.items()) == _counter_items(keys, mult), (rows, a, b, mult)
+            assert list(_tally(keys, (1,) * rows).items()) == list(_tally(keys, None).items())
+
+    def test_first_occurrence_order_is_not_sorted_order(self):
+        keys = bytes([3, 1, 3, 0, 1, 3, 2])
+        mult = (2, 1, 1, 5, 3, 1, 4)
+        assert list(_tally(keys, None).items()) == [(3, 3), (1, 2), (0, 1), (2, 1)]
+        assert list(_tally(keys, mult).items()) == [(3, 4), (1, 4), (0, 5), (2, 4)]
+        assert list(_tally(keys, mult).items()) == _counter_items(keys, mult)
+
+
+class TestStoredAttributes:
+    """Cached attributes are computed on first read, stored in the instance
+    dict, and read from there afterwards; the class keeps their docstrings."""
+
+    def test_a_fresh_join_stores_its_entropy_on_first_read(self):
+        d = Dataset.from_columns({"a": ["x", "x", "y", "y", "x"], "b": ["p", "q", "p", "p", "q"]})
+        p = join(induced_partition(d["a"], d), induced_partition(d["b"], d))
+        assert "entropy" not in vars(p) and "packed" not in vars(p)
+        assert p.entropy == vars(p)["entropy"] == 0.0 - math.fsum(
+            c / p.scale * math.log2(c / p.scale) for c in p.counts)
+        assert "packed" not in vars(p)
+        sentinel = object()
+        vars(p)["entropy"] = sentinel
+        assert p.entropy is sentinel  # later reads never reach the descriptor
+
+    def test_variable_codes_are_stored_on_first_read(self):
+        v = CategoricalVariable("v", ("b", "a", "b", "c"))
+        assert "codes" not in vars(v)
+        assert v.codes == vars(v)["codes"] == (0, 1, 0, 2)
+        sentinel = object()
+        vars(v)["codes"] = sentinel
+        assert v.codes is sentinel
+
+    def test_the_class_keeps_the_docstrings(self):
+        assert Partition.entropy.__doc__ == (
+            "Shannon entropy in bits, ``-sum P(B) log2 P(B)``; ``+0.0`` when zero.")
+        assert Partition.packed.__doc__ == "``codes`` as one integer, row r's code in field r."
+        assert CategoricalVariable.codes.__doc__ == "Position of each row's label in ``alphabet``."
 
 
 class TestContingency:
