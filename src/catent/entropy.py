@@ -22,12 +22,13 @@ Conventions:
 """
 
 import math
-from dataclasses import dataclass
 
 from .model import (
     CatentError,
     Partition,
+    _set,
     _tally,
+    _Value,
     cell_keys,
     is_coarser,
     join,
@@ -111,8 +112,7 @@ def entropic_ratio(x: Partition, y: Partition) -> float:
 # conditional-entropy laws
 
 
-@dataclass(frozen=True)
-class LawClause:
+class LawClause(_Value):
     """Outcome of one law on one triple.
 
     ``gap`` is the worst violation magnitude (0.0 when the law holds
@@ -120,17 +120,22 @@ class LawClause:
     marks clauses whose hypothesis never fired on this triple.
     """
 
-    name: str
-    passed: bool
-    vacuous: bool
-    gap: float
+    _fields = _compared = ("name", "passed", "vacuous", "gap")
+
+    def __init__(self, name: str, passed: bool, vacuous: bool, gap: float):
+        _set(self, "name", name)
+        _set(self, "passed", passed)
+        _set(self, "vacuous", vacuous)
+        _set(self, "gap", gap)
 
 
-@dataclass(frozen=True)
-class LawReport:
+class LawReport(_Value):
     """Clause-by-clause outcome of the conditional-entropy laws."""
 
-    clauses: tuple[LawClause, ...]
+    _fields = _compared = ("clauses",)
+
+    def __init__(self, clauses: tuple[LawClause, ...]):
+        _set(self, "clauses", clauses)
 
     @property
     def passed(self) -> bool:

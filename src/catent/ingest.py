@@ -16,17 +16,14 @@ significant digits so values round-trip bit-exactly.  ``save_csv`` and
 import contextlib
 import csv
 import io
-import json
 import math
 import sys
 import unicodedata
-from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Iterator, TextIO, Union
 
 from .metric import DistanceMatrix
-from .model import CatentError, Dataset, format_label
+from .model import CatentError, Dataset, _set, _Value, format_label
 
 NA_LABEL = "<NA>"
 
@@ -43,16 +40,16 @@ class ParseError(CatentError, ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class CsvSpec:
+class CsvSpec(_Value):
     """Parsing options for ``load_csv`` (and the writing options of
     ``save_csv``).  The delimiter is any single character but the quote
     ``"`` and the line breaks ``\r`` and ``\n``."""
 
-    delimiter: str = ","
-    drop_na: bool = False
+    _fields = _compared = ("delimiter", "drop_na")
 
-    def __post_init__(self):
+    def __init__(self, delimiter: str = ",", drop_na: bool = False):
+        _set(self, "delimiter", delimiter)
+        _set(self, "drop_na", drop_na)
         if len(self.delimiter) != 1:
             raise ParseError("delimiter must be a single character")
         if self.delimiter in '"\r\n':  # these already mean something in CSV
@@ -178,6 +175,7 @@ def save_matrix(matrix: DistanceMatrix, fmt: str = "tsv", number_format: str = "
         "names": list(matrix.names),
         "values": [[float(format(v, number_format)) for v in row] for row in matrix.values],
     }
+    import json  # here, not at the top: the CLI imports this module on every start
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -206,6 +204,7 @@ def load_matrix(source: Source, fmt: str = "tsv") -> DistanceMatrix:
         text = stream.read()
     try:
         if fmt == "json":
+            import json  # here, not at the top: the CLI imports this module on every start
             payload = json.loads(text, parse_float=_finite_float)
             names, rows = payload["names"], payload["values"]
             if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
@@ -238,6 +237,7 @@ def load_matrix(source: Source, fmt: str = "tsv") -> DistanceMatrix:
 
 def fixture_path(name: str) -> Path:
     """Filesystem path of a bundled example dataset."""
+    from importlib import resources  # not at the top: on 3.12+ it imports inspect
     path = Path(str(resources.files("catent.data").joinpath(name)))
     if not path.is_file():
         raise FileNotFoundError(f"no bundled dataset named {name!r}")

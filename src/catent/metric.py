@@ -40,13 +40,14 @@ its checks carry no witness, only the two route values.
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .model import (
     CategoricalVariable,
     Dataset,
     Partition,
+    _set,
+    _Value,
     canonical_classes,
     induced_partition,
     is_coarser,
@@ -88,27 +89,27 @@ def su_distance(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class DistanceMatrix:
+class DistanceMatrix(_Value):
     """Symmetric matrix of pairwise SU-distances over named columns.
 
     ``values`` is one tuple of floats per name.  Each unordered pair is computed
     once, so the matrix is symmetric by construction with an exactly zero diagonal.
     """
 
-    names: tuple[str, ...]
-    values: tuple[tuple[float, ...], ...]
+    _fields = ("names", "values")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # by identity, not by value
 
-    def __post_init__(self):
+    def __init__(self, names: tuple[str, ...], values: tuple[tuple[float, ...], ...]):
+        _set(self, "names", names)
         try:
-            rows = tuple(tuple(map(float, row)) for row in self.values)
+            rows = tuple(tuple(map(float, row)) for row in values)
         except TypeError as exc:  # a bare number where a row belongs, or a non-number
             raise ValueError("values must be one row of numbers per name") from exc
         if len(rows) != len(self.names) or any(len(row) != len(self.names) for row in rows):
             raise ValueError("matrix shape must match the name list")
         if len(set(self.names)) != len(self.names):
             raise ValueError(f"duplicate matrix names: {list(self.names)}")
-        object.__setattr__(self, "values", rows)
+        _set(self, "values", rows)
 
     def value(self, a: str, b: str) -> float:
         return self.values[self.names.index(a)][self.names.index(b)]
@@ -130,8 +131,7 @@ def distance_matrix(dataset: Dataset, subset: Sequence[str] | None = None) -> Di
 # axiom reports
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
+class AxiomCheck(_Value):
     """Result of one axiom over a set of instances.
 
     ``nonvacuous`` counts the instances whose hypothesis fired (all but
@@ -142,25 +142,33 @@ class AxiomCheck:
     of the comparison in ``lhs``/``rhs``.
     """
 
-    name: str
-    instances: int
-    nonvacuous: int
-    violations: int
-    worst_slack: float
-    witness: tuple[str, ...] | None
-    lhs: float | None
-    rhs: float | None
+    _fields = _compared = ("name", "instances", "nonvacuous", "violations",
+                           "worst_slack", "witness", "lhs", "rhs")
+
+    def __init__(self, name: str, instances: int, nonvacuous: int, violations: int,
+                 worst_slack: float, witness: tuple[str, ...] | None,
+                 lhs: float | None, rhs: float | None):
+        _set(self, "name", name)
+        _set(self, "instances", instances)
+        _set(self, "nonvacuous", nonvacuous)
+        _set(self, "violations", violations)
+        _set(self, "worst_slack", worst_slack)
+        _set(self, "witness", witness)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
 
     @property
     def passed(self) -> bool:
         return self.violations == 0
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(_Value):
     """Bundle of axiom checks with a single overall verdict."""
 
-    checks: tuple[AxiomCheck, ...]
+    _fields = _compared = ("checks",)
+
+    def __init__(self, checks: tuple[AxiomCheck, ...]):
+        _set(self, "checks", checks)
 
     @property
     def passed(self) -> bool:
@@ -235,13 +243,13 @@ def merge_reports(reports: Iterable[AxiomReport]) -> AxiomReport:
     for report in reports:
         for c in report.checks:
             prev = merged.get(c.name)
-            merged[c.name] = c if prev is None else replace(
-                c if _takes_witness(c.worst_slack, not c.passed, prev.worst_slack,
-                                    prev.violations) else prev,
-                instances=prev.instances + c.instances,
-                nonvacuous=prev.nonvacuous + c.nonvacuous,
-                violations=prev.violations + c.violations,
-            )
+            if prev is not None:
+                w = c if _takes_witness(c.worst_slack, not c.passed, prev.worst_slack,
+                                        prev.violations) else prev
+                c = AxiomCheck(
+                    c.name, prev.instances + c.instances, prev.nonvacuous + c.nonvacuous,
+                    prev.violations + c.violations, w.worst_slack, w.witness, w.lhs, w.rhs)
+            merged[c.name] = c
     return AxiomReport(tuple(merged.values()))
 
 

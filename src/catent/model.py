@@ -18,6 +18,11 @@ column's class up to relabeling is its induced ``Partition``.  Exact
 attributes, ``entropy`` among them, are computed on first read and
 stored on the instance without a lock.
 
+Every value class of catent is a plain class on the immutable base
+``_Value``: the constructor sets each field once, assigning or deleting
+one raises ``AttributeError``, and equality, hash and repr follow a
+fixed tuple of the fields.
+
 Contingency cells are keyed by integer arithmetic.  A partition caches
 its codes ``packed`` into one integer, row r's code in field r; for two
 partitions on the same rows, ``packed(p) * q.n_blocks + packed(q)``
@@ -35,7 +40,6 @@ from array import array
 # CPython-private but always exported: the C helper from _collections, else a
 # pure-Python fallback in collections/__init__.py; Counter.update calls it too
 from collections import _count_elements
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from types import MappingProxyType
@@ -79,6 +83,38 @@ def _tally(keys: Iterable[Hashable], multiplicities: tuple[int, ...] | None) -> 
     return masses
 
 
+# constructors set their fields with this, past _Value.__setattr__; unlike
+# vars(self).update it leaves the instance dict unmaterialised on 3.11+
+_set = object.__setattr__
+
+
+class _Value:
+    """Immutable value base.  A subclass names in ``_fields`` the fields its
+    repr shows, in order, and in ``_compared`` those that equality and the
+    hash take as one tuple; an instance equals only its own class's."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({shown})"
+
+
 class _stored:
     """A cached attribute: the first read stores it in the instance dict,
     which later reads find before this non-data descriptor.  No lock."""
@@ -93,23 +129,20 @@ class _stored:
         return value
 
 
-@dataclass(frozen=True)
-class CategoricalVariable:
+class CategoricalVariable(_Value):
     """A named column: one category label per row.
 
     Labels may be any hashable values.  Plain columns use strings;
     joint variables (see ``catent.algebra``) use tuples of labels.
     """
 
-    name: str
-    labels: tuple[Label, ...]
-    # distinct labels in first-occurrence order
-    alphabet: tuple[Label, ...] = field(init=False, repr=False, compare=False)
+    # ``alphabet``: the distinct labels in first-occurrence order
+    _fields = _compared = ("name", "labels")
 
-    def __post_init__(self):
-        labels = tuple(self.labels)
+    def __init__(self, name: str, labels: tuple[Label, ...]):
+        labels = tuple(labels)
         if not labels:
-            raise StructuralError(f"variable {self.name!r} has no rows")
+            raise StructuralError(f"variable {name!r} has no rows")
         alphabet = tuple(dict.fromkeys(labels))
         # strings are NFC-normalised so visually identical labels compare equal:
         # each distinct non-NFC string once, then the rows through that map
@@ -118,7 +151,7 @@ class CategoricalVariable:
         if nfc:
             labels = tuple(map(nfc.get, labels, labels))
             alphabet = tuple(dict.fromkeys(map(nfc.get, alphabet, alphabet)))
-        vars(self).update(labels=labels, alphabet=alphabet)
+        vars(self).update(name=name, labels=labels, alphabet=alphabet)
 
     @_stored
     def codes(self) -> tuple[int, ...]:
@@ -130,8 +163,7 @@ class CategoricalVariable:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(_Value):
     """A finite weighted sample space with named categorical columns.
 
     Row weights are positive ``Fraction`` values summing to one.  Column
@@ -142,22 +174,20 @@ class Dataset:
     when all rows weigh ``1 / scale``.
     """
 
-    columns: Mapping[str, CategoricalVariable]
-    row_weights: tuple[Fraction, ...]
-    scale: int = field(init=False, repr=False, compare=False)
-    multiplicities: tuple[int, ...] | None = field(init=False, repr=False, compare=False)
+    _fields = _compared = ("columns", "row_weights")
 
-    def __post_init__(self):
-        if not self.row_weights:
+    def __init__(self, columns: Mapping[str, CategoricalVariable],
+                 row_weights: tuple[Fraction, ...]):
+        if not row_weights:
             raise StructuralError("dataset has no rows")
-        weights = tuple(w if isinstance(w, Fraction) else Fraction(w) for w in self.row_weights)
+        weights = tuple(w if isinstance(w, Fraction) else Fraction(w) for w in row_weights)
         scale, mult = _integer_weights(weights)
         if mult is not None and min(mult) <= 0:
             raise StructuralError("row weights must be positive")
         if (len(weights) if mult is None else sum(mult)) != scale:
             raise StructuralError("row weights must sum to 1")
         vars(self).update(row_weights=weights, scale=scale, multiplicities=mult)
-        cols = dict(self.columns)
+        cols = dict(columns)
         for name, var in cols.items():
             if not isinstance(name, str):
                 raise StructuralError(f"column name {name!r} is not a string")
@@ -171,7 +201,7 @@ class Dataset:
                 raise StructuralError(
                     f"column {name!r} has {len(var)} rows, dataset has {len(weights)}"
                 )
-        object.__setattr__(self, "columns", MappingProxyType(cols))
+        _set(self, "columns", MappingProxyType(cols))
 
     @classmethod
     def from_columns(
@@ -217,8 +247,7 @@ class Dataset:
         return Dataset(cols, self.row_weights)
 
 
-@dataclass(frozen=True, init=False)
-class Partition:
+class Partition(_Value):
     """Disjoint nonempty blocks of row indices covering the sample space.
 
     Blocks are numbered in the order of their smallest row index:
@@ -235,13 +264,21 @@ class Partition:
     ``Partition`` raises ``TypeError``.
     """
 
-    codes: tuple[int, ...]
-    counts: tuple[int, ...] = field(compare=False)
-    scale: int
-    multiplicities: tuple[int, ...] | None = field(repr=False)
+    _fields = ("codes", "counts", "scale")
 
     def __init__(self, *args, **kwargs):
         raise TypeError("partitions come from induced_partition, join or trivial_partition")
+
+    # spelled out rather than _Value's generic key: the monoid and
+    # indiscernibility checks compare partitions once per instance
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.codes, self.scale, self.multiplicities)
+                    == (other.codes, other.scale, other.multiplicities))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.codes, self.scale, self.multiplicities))
 
     @_stored
     def blocks(self) -> tuple[frozenset[int], ...]:
@@ -295,8 +332,7 @@ def _on_rows(codes: tuple[int, ...], rows, counts=None) -> Partition:
     return p
 
 
-@dataclass(frozen=True)
-class ContingencyTable:
+class ContingencyTable(_Value):
     """Exact joint probability mass of two variables over a dataset.
 
     ``counts[i][j]`` is the probability of seeing ``row_alphabet[i]``
@@ -304,11 +340,13 @@ class ContingencyTable:
     the whole grid sums to one.
     """
 
-    row_alphabet: tuple[Label, ...]
-    col_alphabet: tuple[Label, ...]
-    counts: tuple[tuple[Fraction, ...], ...]
+    _fields = _compared = ("row_alphabet", "col_alphabet", "counts")
 
-    def __post_init__(self):
+    def __init__(self, row_alphabet: tuple[Label, ...], col_alphabet: tuple[Label, ...],
+                 counts: tuple[tuple[Fraction, ...], ...]):
+        _set(self, "row_alphabet", row_alphabet)
+        _set(self, "col_alphabet", col_alphabet)
+        _set(self, "counts", counts)
         if len(self.counts) != len(self.row_alphabet):
             raise StructuralError("one count row per row-alphabet entry required")
         for row in self.counts:

@@ -17,9 +17,7 @@ Correlation modes control how columns relate:
   independent / refine-an-earlier / noisy-copy-an-earlier / constant.
 """
 
-from dataclasses import dataclass
-
-from .model import CatentError, Dataset
+from .model import CatentError, Dataset, _set, _Value
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -77,8 +75,7 @@ class SplitMix64:
         return seq[self.below(len(seq))]
 
 
-@dataclass(frozen=True)
-class GenConfig:
+class GenConfig(_Value):
     """Parameters for one generated dataset.
 
     ``rows`` and ``alphabet_size`` are inclusive ``(lo, hi)`` ranges
@@ -88,12 +85,20 @@ class GenConfig:
     be smaller).
     """
 
-    seed: int = 0
-    rows: tuple[int, int] = (2, 12)
-    alphabet_size: tuple[int, int] = (1, 4)
-    correlation_mode: str = "arbitrary"
+    # the defaults, which the CLI's help text reads off the class
+    seed = 0
+    rows = (2, 12)
+    alphabet_size = (1, 4)
+    correlation_mode = "arbitrary"
+    _fields = _compared = ("seed", "rows", "alphabet_size", "correlation_mode")
 
-    def __post_init__(self):
+    def __init__(self, seed: int = seed, rows: tuple[int, int] = rows,
+                 alphabet_size: tuple[int, int] = alphabet_size,
+                 correlation_mode: str = correlation_mode):
+        _set(self, "seed", seed)
+        _set(self, "rows", rows)
+        _set(self, "alphabet_size", alphabet_size)
+        _set(self, "correlation_mode", correlation_mode)
         if not isinstance(self.seed, int):
             raise ConfigError("seed must be an integer")
         for field_name, (lo, hi), cap in (

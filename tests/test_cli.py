@@ -861,6 +861,18 @@ class TestTopLevel:
         assert "'catent.cli'" in proc.stdout
         assert "'numpy'" not in proc.stdout
 
+    def test_cli_import_leaves_slow_stdlib_modules_unloaded(self):
+        # -S: no site hook may preload one of them and so mask catent's import;
+        # PYTHONPATH still puts src first on sys.path
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", "import sys, catent.cli; print(sorted(sys.modules))"],
+            capture_output=True, text=True, env=src_env(), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "'catent.cli'" in proc.stdout
+        for module in ("dataclasses", "inspect", "json", "importlib.resources"):
+            assert f"'{module}'" not in proc.stdout, module
+
     def test_no_runtime_dependency_declared(self):
         tomllib = pytest.importorskip("tomllib")
         with (ROOT / "pyproject.toml").open("rb") as fh:
