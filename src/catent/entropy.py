@@ -63,7 +63,18 @@ def conditional_entropy(x: Partition, y: Partition) -> Bits:
     block intersections, never as ``H(x v y) - H(y)``, so the chain rule
     and ``cross_check`` compare two independent routes.  A cell's key
     (see ``catent.model.cell_keys``) modulo ``y.n_blocks`` is its block R.
+    Two column partitions of one dataset read and fill its table, keyed by
+    the ordered pair of names, so each value is computed once per dataset.
     """
+    pairs, key = x._pairs, (x._name, y._name)
+    if pairs is None or pairs is not y._pairs:
+        return _conditional_entropy(x, y)
+    if key not in pairs:
+        pairs[key] = _conditional_entropy(x, y)
+    return pairs[key]
+
+
+def _conditional_entropy(x: Partition, y: Partition) -> Bits:
     cells = _tally(cell_keys(x, y), x.multiplicities)
     k, scale, marginal = y.n_blocks, x.scale, y.counts
     terms = (n / scale * math.log2(n / marginal[key % k]) for key, n in cells.items())

@@ -458,13 +458,14 @@ def check_entropy_laws(
     """The laws of ``catent.entropy.check_conditional_entropy_laws``, by the
     same body, over the triples ``instances(names, 3, triples, seed)``.
 
-    Conditional entropies and coarseness of two columns are memoised by the
-    ordered pair, and a partition computes its entropy once; only
-    ``H(x v y | z)``, ``H(y | x v z)`` and ``H(x | y v z)`` are computed per
-    triple.  A join holds a code per row, so the operand store keeps only
-    the last three: as many as one triple uses.  Each law reports its gap
-    as ``lhs`` against ``rhs`` 0; an instance where a conditional law's
-    hypothesis did not fire is vacuous.
+    Conditional entropies of two columns come from the dataset's table
+    (see ``catent.entropy.conditional_entropy``), coarseness of two columns
+    is memoised by the ordered pair, and a partition computes its entropy
+    once; only ``H(x v y | z)``, ``H(y | x v z)`` and ``H(x | y v z)`` are
+    computed per triple.  A join holds a code per row, so the operand store
+    keeps only the last three: as many as one triple uses.  Each law reports
+    its gap as ``lhs`` against ``rhs`` 0; an instance where a conditional
+    law's hypothesis did not fire is vacuous.
     """
     names = dataset.names
     parts = canonical_classes(dataset)
@@ -473,13 +474,7 @@ def check_entropy_laws(
     def jn(a: str, b: str) -> tuple[str, str]:  # a join is named by its ordered pair
         return a, b
 
-    pair_cond = functools.cache(lambda a, b: conditional_entropy(parts[a], parts[b]))
-
-    def cond(a, b) -> float:
-        if a in parts and b in parts:
-            return pair_cond(a, b)
-        return conditional_entropy(operand(a), operand(b))  # a join on one side: per triple
-
+    cond = lambda a, b: conditional_entropy(operand(a), operand(b))  # noqa: E731
     coarser = functools.cache(lambda a, b: is_coarser(parts[a], parts[b]))
     h = lambda key: entropy(operand(key))  # noqa: E731
     gauges = [_Gauge(name, -TOLERANCE) for name in LAWS]

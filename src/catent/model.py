@@ -16,7 +16,10 @@ column's class up to relabeling is its induced ``Partition``.  Exact
 ``ContingencyTable``).  Floats enter only when logarithms are taken: in
 ``catent.entropy`` and in ``Partition.entropy``.  A partition's cached
 attributes, ``entropy`` among them, are computed on first read and
-stored on the instance without a lock.
+stored on the instance without a lock.  A dataset builds each column's
+partition once, and those partitions share one table of conditional
+entropies keyed by the ordered pair of column names, so each ``H(x | y)``
+of two columns is computed once per dataset (``induced_partition``).
 
 Every value class of catent is a plain class on the immutable base
 ``_Value``: the constructor sets each field once, assigning or deleting
@@ -72,9 +75,13 @@ def _integer_weights(weights: tuple[Fraction, ...]) -> tuple[int, tuple[int, ...
     return scale, None if mult.count(1) == len(mult) else mult
 
 
+class _Masses(dict):
+    __slots__ = ()  # GC-tracked from birth: inserts skip an exact dict's tracking test
+
+
 def _tally(keys: Iterable[Hashable], multiplicities: tuple[int, ...] | None) -> dict:
     # integer mass of every distinct key, in first-occurrence order
-    masses: dict = {}
+    masses = _Masses()
     if multiplicities is None:
         _count_elements(masses, keys)
     else:
@@ -203,6 +210,11 @@ class Dataset(_Value):
                 )
         _set(self, "columns", MappingProxyType(cols))
 
+    @_stored
+    def _memo(self) -> tuple[dict, dict]:
+        """Each column's partition by name, and their ``H(x | y)`` by name pair."""
+        return {}, {}
+
     @classmethod
     def from_columns(
         cls,
@@ -265,6 +277,8 @@ class Partition(_Value):
     """
 
     _fields = ("codes", "counts", "scale")
+    # a dataset column's partition holds its name and its dataset's pair table
+    _name = _pairs = None
 
     def __init__(self, *args, **kwargs):
         raise TypeError("partitions come from induced_partition, join or trivial_partition")
@@ -365,12 +379,21 @@ class ContingencyTable(_Value):
 
 
 def induced_partition(var: CategoricalVariable, dataset: Dataset) -> Partition:
-    """Partition of row indices by inverse images of the variable's labels."""
+    """Partition of row indices by inverse images of the variable's labels.
+
+    A column of ``dataset`` (that very variable) has one, kept by the dataset."""
     if len(var) != dataset.row_count:
         raise StructuralError(
             f"variable {var.name!r} has {len(var)} rows, dataset has {dataset.row_count}"
         )
-    return _on_rows(var.codes, dataset)
+    if dataset.columns.get(var.name) is not var:
+        return _on_rows(var.codes, dataset)
+    parts, pairs = dataset._memo
+    p = parts.get(var.name)
+    if p is None:
+        p = parts[var.name] = _on_rows(var.codes, dataset)
+        vars(p).update(_name=var.name, _pairs=pairs)
+    return p
 
 
 def trivial_partition(dataset: Dataset) -> Partition:

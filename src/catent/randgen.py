@@ -78,11 +78,11 @@ class SplitMix64:
 class GenConfig(_Value):
     """Parameters for one generated dataset.
 
-    ``rows`` and ``alphabet_size`` are inclusive ``(lo, hi)`` ranges
-    with ``1 <= lo <= hi``, and ``hi`` at most ``MAX_ROWS`` and
-    ``MAX_ALPHABET`` respectively; the alphabet range bounds the number
-    of distinct symbols a column draws from (the realised alphabet may
-    be smaller).
+    ``rows`` and ``alphabet_size`` are inclusive ``(lo, hi)`` ranges, each
+    a tuple of two integers with ``1 <= lo <= hi`` and ``hi`` at most
+    ``MAX_ROWS`` and ``MAX_ALPHABET`` respectively; the alphabet range
+    bounds the number of distinct symbols a column draws from (the
+    realised alphabet may be smaller).
     """
 
     # the defaults, which the CLI's help text reads off the class
@@ -101,10 +101,14 @@ class GenConfig(_Value):
         _set(self, "correlation_mode", correlation_mode)
         if not isinstance(self.seed, int):
             raise ConfigError("seed must be an integer")
-        for field_name, (lo, hi), cap in (
+        for field_name, bounds, cap in (
             ("rows", self.rows, MAX_ROWS),
             ("alphabet_size", self.alphabet_size, MAX_ALPHABET),
         ):
+            if not (isinstance(bounds, tuple) and len(bounds) == 2
+                    and all(isinstance(b, int) for b in bounds)):
+                raise ConfigError(f"{field_name} must be a (lo, hi) tuple of ints, got {bounds!r}")
+            lo, hi = bounds
             if lo < 1 or hi < lo:
                 raise ConfigError(
                     f"{field_name} range ({lo}, {hi}) is empty or degenerate"

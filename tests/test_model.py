@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -7,13 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catent.algebra import check_contractivity, check_monoid_laws, joint, relabel
 from catent.entropy import conditional_entropy
+from catent.metric import check_entropy_laws
 from catent.model import (
     CategoricalVariable,
     ContingencyTable,
     Dataset,
     Partition,
     StructuralError,
+    _Masses,
     _tally,
     canonical_classes,
     cell_counts,
@@ -25,6 +30,7 @@ from catent.model import (
     join,
     trivial_partition,
 )
+from catent.randgen import GenConfig, gen_dataset
 
 import oracle
 import strategies
@@ -168,6 +174,89 @@ class TestInducedPartition:
             seen = sorted(i for b in p.blocks for i in b)
             assert seen == list(range(d.row_count))
             assert sum(p.block_probs) == 1
+
+
+def _labels(seed: int) -> dict:
+    d = gen_dataset(GenConfig(seed=seed), columns=seed % 4 + 2)
+    return {nm: d[nm].labels for nm in d.names}
+
+
+class TestDatasetMemo:
+    """A dataset builds each column's partition once, and those partitions
+    share one table of ``H(x | y)`` keyed by the ordered pair of names."""
+
+    def test_a_column_has_one_partition_per_dataset(self, internship):
+        v = internship["Creativity"]
+        p = induced_partition(v, internship)
+        assert induced_partition(v, internship) is p
+        assert canonical_classes(internship)["Creativity"] is p
+        assert canonical_classes(internship) is not canonical_classes(internship)
+        # the same variable in another dataset gets that dataset's partition
+        wider = internship.with_column(CategoricalVariable("k", ("k",) * internship.row_count))
+        assert induced_partition(v, wider) is not p
+        assert induced_partition(v, wider) is induced_partition(v, wider)
+
+    def test_other_variables_get_a_fresh_partition(self, internship):
+        a, b = internship["Creativity"], internship["GotHired"]
+        cached = induced_partition(a, internship)
+        for make in (lambda: relabel(a), lambda: joint(a, b, internship),
+                     lambda: CategoricalVariable(a.name, a.labels)):
+            var = make()
+            first, second = induced_partition(var, internship), induced_partition(var, internship)
+            assert first is not second and first is not cached
+            assert first._pairs is None and second._pairs is None
+        assert induced_partition(CategoricalVariable(a.name, a.labels), internship) == cached
+
+    def test_cached_values_are_bit_identical_to_a_first_computation(self):
+        for seed in range(100):
+            columns = _labels(seed)
+            d, fresh = Dataset.from_columns(columns), Dataset.from_columns(columns)
+            pairs = list(itertools.permutations(columns, 2)) + [(nm, nm) for nm in columns]
+            want = {
+                (a, b): conditional_entropy(induced_partition(fresh[a], fresh),
+                                            induced_partition(fresh[b], fresh)).hex()
+                for a, b in pairs
+            }
+            for _ in range(2):  # the first pass fills the table, the second reads it
+                for a, b in reversed(pairs):
+                    got = conditional_entropy(induced_partition(d[a], d),
+                                              induced_partition(d[b], d))
+                    assert got.hex() == want[a, b], (seed, a, b)
+            assert set(d._memo[1]) == set(pairs)
+
+    @pytest.mark.parametrize("order", [("x|y", "y|x"), ("y|x", "x|y")])
+    def test_the_table_is_keyed_by_the_ordered_pair(self, order):
+        d = Dataset.from_columns({"x": ["a", "a", "b", "b"], "y": ["p", "q", "r", "s"]})
+        x, y = induced_partition(d["x"], d), induced_partition(d["y"], d)
+        want = {"x|y": 0.0, "y|x": 1.0}  # y refines x: knowing y fixes x, not back
+        for key in order * 2:
+            got = conditional_entropy(x, y) if key == "x|y" else conditional_entropy(y, x)
+            assert got == want[key], key
+
+    def test_validators_keep_no_joins(self):
+        d = gen_dataset(GenConfig(seed=3, rows=(8, 8)), columns=4)
+        check_monoid_laws(d)
+        check_contractivity(d)
+        check_entropy_laws(d)
+        parts, pairs = d._memo
+        assert set(parts) == set(d.names)
+        assert pairs and all(
+            type(key) is tuple and len(key) == 2 and set(key) <= set(d.names)
+            and type(value) is float
+            for key, value in pairs.items()
+        )
+
+    def test_no_reference_cycle_keeps_a_partition_alive(self):
+        gc.disable()
+        try:
+            d = Dataset.from_columns({"a": ["x", "y", "x"], "b": ["p", "p", "q"]})
+            p = induced_partition(d["a"], d)
+            conditional_entropy(p, induced_partition(d["b"], d))
+            alive = weakref.ref(p)
+            del d, p
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 class TestPartitionConstruction:
@@ -314,7 +403,7 @@ def _counter_items(keys, multiplicities=None) -> list:
 
 
 class TestTally:
-    """``_tally`` fills a plain dict with exactly a ``Counter``'s masses, in
+    """``_tally`` fills a ``_Masses`` dict with exactly a ``Counter``'s masses, in
     first-occurrence key order, which join block numbers and every
     ``cell_counts`` key follow."""
 
@@ -328,7 +417,7 @@ class TestTally:
             assert type(keys) is kind and (kind is bytes or keys.format == "H")
             for mult in (None, mixed):
                 got = _tally(keys, mult)
-                assert type(got) is dict
+                assert type(got) is _Masses
                 assert list(got.items()) == _counter_items(keys, mult), (rows, a, b, mult)
             assert list(_tally(keys, (1,) * rows).items()) == list(_tally(keys, None).items())
 

@@ -73,6 +73,14 @@ class TestGenConfig:
         with pytest.raises(ConfigError):
             GenConfig(alphabet_size=(3, 1))
 
+    @pytest.mark.parametrize("field", ["rows", "alphabet_size"])
+    @pytest.mark.parametrize(
+        "bounds", [5, (1, 2, 3), [2, 12], (1,), (1.0, 3), (1, 3.0), (1, "3"), None],
+        ids=["int", "triple", "list", "single", "float-lo", "float-hi", "str-hi", "none"])
+    def test_rejects_malformed_ranges(self, field, bounds):
+        with pytest.raises(ConfigError, match=f"{field} must be a \\(lo, hi\\) tuple of ints"):
+            GenConfig(**{field: bounds})
+
     def test_size_caps(self):
         GenConfig(rows=(1, MAX_ROWS), alphabet_size=(1, MAX_ALPHABET))
         with pytest.raises(ConfigError, match="rows upper bound"):
