@@ -11,14 +11,19 @@ SU-distance:
 so joining is continuous in the metric of ``catent.metric``.  The law
 checkers below test the monoid laws exactly (induced-partition equality;
 no tolerance) and contractivity numerically, on the columns'
-partitions.  Each check keeps at most ``EXHAUSTIVE_LIMIT ** 2`` pair
-joins (each caching its entropy), every pair of an exhaustive run, so
-memory stays flat on sampled runs over many columns.
+partitions.  Each check computes each distinct join, distance and
+relabeled column once, and keeps at most ``EXHAUSTIVE_LIMIT ** 2`` pair
+joins (each caching its entropy), so memory stays flat on sampled runs
+over many columns.
 """
+
+import functools
+from typing import Callable, Mapping
 
 from .model import (
     CategoricalVariable,
     Dataset,
+    Partition,
     StructuralError,
     canonical_classes,
     induced_partition,
@@ -30,11 +35,21 @@ from .metric import (
     EXHAUSTIVE_LIMIT,
     AxiomReport,
     _Gauge,
-    _operands,
     _report,
     instances,
     partition_distance,
 )
+
+# joint nests one label level per fold, and labels are formatted and compared
+# recursively: far below the interpreter's recursion limit, even from a deep stack
+MAX_JOINT = 100
+
+
+def _depth(label) -> int:
+    depth, level = 0, [label]
+    while level := [part for item in level if isinstance(item, tuple) for part in item]:
+        depth += 1
+    return depth
 
 
 def joint(
@@ -43,11 +58,17 @@ def joint(
     """Row-wise pairing of two columns: label ``(a[r], b[r])`` at row r.
 
     The result's partition is exactly ``join`` of the inputs'
-    partitions; its name is ``(a.name*b.name)``.
+    partitions; its name is ``(a.name*b.name)``.  Refuses labels nested
+    more than ``MAX_JOINT`` levels deep.
     """
     if len(a) != dataset.row_count or len(b) != dataset.row_count:
         raise StructuralError("variables must have one label per dataset row")
-    return CategoricalVariable(f"({a.name}*{b.name})", tuple(zip(a.labels, b.labels)))
+    first = a.labels[0], b.labels[0]  # a joint of joints has one label shape on every row
+    if tuple in map(type, first) and _depth(first) > MAX_JOINT:
+        raise StructuralError(f"a joint nests its labels at most {MAX_JOINT} levels deep")
+    shared: dict = {}  # rows with the same pair share one label tuple
+    labels = tuple([shared.setdefault(pair, pair) for pair in zip(a.labels, b.labels)])
+    return CategoricalVariable(f"({a.name}*{b.name})", labels)
 
 
 def identity_variable(dataset: Dataset) -> CategoricalVariable:
@@ -73,6 +94,14 @@ def relabel(var: CategoricalVariable) -> CategoricalVariable:
     return CategoricalVariable(var.name + "'", tuple(rename[l] for l in var.labels))
 
 
+def _operands(parts: Mapping[str, Partition], joins: int) -> Callable:
+    """A validator's operand store: a column name maps to its partition in
+    ``parts``, and a pair of names to the join of their partitions.  A join
+    holds a code per row, so only the last ``joins`` are kept."""
+    pair_join = functools.lru_cache(maxsize=joins)(lambda a, b: join(parts[a], parts[b]))
+    return lambda key: parts[key] if key in parts else pair_join(*key)
+
+
 def check_monoid_laws(
     dataset: Dataset,
     triples: int | None = None,
@@ -86,8 +115,9 @@ def check_monoid_laws(
     identity ``x*constant ~ x``; and well-definedness, i.e. replacing
     the operands by relabeled (indiscernible) copies leaves the class
     of the result unchanged.  The first three compare joins of the
-    columns' partitions; well-definedness compares the partition of the
-    ``joint`` of the relabeled columns with the join.
+    columns' partitions, kept by the ordered pair so that commutativity
+    compares two computations; well-definedness compares the partition
+    of the ``joint`` of the relabeled columns with the join.
 
     The triples are ``catent.metric.instances(dataset.names, 3,
     triples, seed)``.
@@ -97,6 +127,7 @@ def check_monoid_laws(
     # room for every ordered pair join of an exhaustive run, a bound for sampled ones
     operand = _operands(parts, EXHAUSTIVE_LIMIT**2)
     const = trivial_partition(dataset)
+    copy = functools.cache(lambda name: relabel(dataset[name]))
 
     g_assoc = _Gauge("associativity", 0.0)
     g_commut = _Gauge("commutativity", 0.0)
@@ -118,7 +149,7 @@ def check_monoid_laws(
         if (nx, ny) not in pairs_done:
             pairs_done.add((nx, ny))
             g_commut.add(verdict(xy == operand((ny, nx))), (nx, ny))
-            relabeled = joint(relabel(dataset[nx]), relabel(dataset[ny]), dataset)
+            relabeled = joint(copy(nx), copy(ny), dataset)
             g_well.add(verdict(induced_partition(relabeled, dataset) == xy), (nx, ny))
 
         if nx not in singles_done:
@@ -135,20 +166,32 @@ def check_contractivity(
 
     The quadruples are ``catent.metric.instances(dataset.names, 4,
     quadruples, seed)``.  The slack reported is the amount by which the
-    right side exceeds the left.
+    right side exceeds the left.  ``x*y`` and ``y*x`` have one partition,
+    codes and counts alike, so one join, named by the sorted pair, serves
+    both orders.
     """
     quad_list = instances(dataset.names, 4, quadruples, seed)
     operand = _operands(canonical_classes(dataset), EXHAUSTIVE_LIMIT**2)
 
-    # keyed by the unordered pair of operands (two columns, or two joined
-    # pairs); each distance is computed in the order its pair is first asked for
+    def canonical(a):  # a column name, or the sorted pair naming a join
+        return a if a.__class__ is str or a[0] <= a[1] else (a[1], a[0])
+
+    # keyed by the unordered pair of operands (two columns, or two joined pairs),
+    # each valued in the order first asked for, from ``between``, keyed by the
+    # ordered pair of canonical operands: a commuted instance reuses its float
     memo: dict[tuple, float] = {}
+    between: dict[tuple, float] = {}
 
     def d(a, b) -> float:
         key = (a, b) if a <= b else (b, a)
-        if key not in memo:
-            memo[key] = partition_distance(operand(a), operand(b))
-        return memo[key]
+        value = memo.get(key)
+        if value is None:
+            ordered = canonical(a), canonical(b)
+            value = between.get(ordered)
+            if value is None:
+                value = between[ordered] = partition_distance(*map(operand, ordered))
+            memo[key] = value
+        return value
 
     g = _Gauge("contractivity", -TOLERANCE)
     for nx, ny, nz, nw in quad_list:

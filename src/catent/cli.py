@@ -19,7 +19,7 @@ import unicodedata
 from functools import partial, reduce
 from pathlib import Path
 
-from .algebra import check_contractivity, check_monoid_laws, joint
+from .algebra import MAX_JOINT, check_contractivity, check_monoid_laws, joint
 from .entropy import (
     UndefinedRatioError,
     conditional_entropy,
@@ -47,9 +47,6 @@ from .randgen import MODES, GenConfig, gen_dataset
 MAX_RANDOM = 100_000
 # --triples and --quadruples are drawn up front; a hundred times DEFAULT_SAMPLES
 MAX_SAMPLES = 100_000
-# joint nests one label level per column, and labels are formatted and compared
-# recursively: far below the interpreter's recursion limit, even from a deep stack
-MAX_JOINT = 100
 # columns per dataset from --random; the generator's other flags, by dest
 RANDOM_COLUMNS = 3
 _GEN_FLAGS = {"gen_columns": "--columns", "rows": "--rows",

@@ -40,7 +40,7 @@ its checks carry no witness, only the two route values.
 import functools
 import itertools
 import math
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .model import (
     CategoricalVariable,
@@ -51,12 +51,12 @@ from .model import (
     canonical_classes,
     induced_partition,
     is_coarser,
-    join,
 )
 from .entropy import (
     LAWS,
     TOLERANCE,
     _law_gaps,
+    _three_way,
     conditional_entropy,
     entropy,
     joint_entropy,
@@ -314,16 +314,6 @@ def _sampled(names: tuple[str, ...], width: int, sample: int, seed: int) -> tupl
     return tuple(tuple(rng.choice(names) for _ in range(width)) for _ in range(sample))
 
 
-def _operands(parts: Mapping[str, Partition], joins: int) -> Callable:
-    """A validator's operand store: a column name maps to its partition in
-    ``parts``, and an ordered pair of names, which stands for their join, to
-    the join of their partitions.  Joins are keyed by the ordered pair, so
-    ``x v y`` and ``y v x`` stay two computations; each holds a code per
-    row, so only the last ``joins`` are kept."""
-    pair_join = functools.lru_cache(maxsize=joins)(lambda a, b: join(parts[a], parts[b]))
-    return lambda key: parts[key] if key in parts else pair_join(*key)
-
-
 # ---------------------------------------------------------------------------
 # similarity-measure conditions on SU
 
@@ -461,25 +451,21 @@ def check_entropy_laws(
     Conditional entropies of two columns come from the dataset's table
     (see ``catent.entropy.conditional_entropy``), coarseness of two columns
     is memoised by the ordered pair, and a partition computes its entropy
-    once; only ``H(x v y | z)``, ``H(y | x v z)`` and ``H(x | y v z)`` are
-    computed per triple.  A join holds a code per row, so the operand store
-    keeps only the last three: as many as one triple uses.  Each law reports
-    its gap as ``lhs`` against ``rhs`` 0; an instance where a conditional
-    law's hypothesis did not fire is vacuous.
+    once.  ``H(x v y | z)``, ``H(y | x v z)``, ``H(x | y v z)`` and
+    ``H(x v y)`` come from one three-way cell tally per triple
+    (``catent.entropy._three_way``), so no join is built or kept unless the
+    cells outgrow an 8-byte key.  Each law reports its gap as ``lhs``
+    against ``rhs`` 0; an instance where a conditional law's hypothesis did
+    not fire is vacuous.
     """
     names = dataset.names
     parts = canonical_classes(dataset)
-    operand = _operands(parts, 3)
-
-    def jn(a: str, b: str) -> tuple[str, str]:  # a join is named by its ordered pair
-        return a, b
-
-    cond = lambda a, b: conditional_entropy(operand(a), operand(b))  # noqa: E731
+    cond = lambda a, b: conditional_entropy(parts[a], parts[b])  # noqa: E731
     coarser = functools.cache(lambda a, b: is_coarser(parts[a], parts[b]))
-    h = lambda key: entropy(operand(key))  # noqa: E731
     gauges = [_Gauge(name, -TOLERANCE) for name in LAWS]
     for triple in instances(names, 3, triples, seed):
-        gaps = _law_gaps(*triple, cond, jn, coarser, h)
+        x, y, z = map(parts.__getitem__, triple)
+        gaps = _law_gaps(*triple, cond, coarser, x.entropy, _three_way(x, y, z))
         for gauge, gap in zip(gauges, gaps):
             if gap is None:
                 gauge.skip()

@@ -32,7 +32,9 @@ partitions on the same rows, ``packed(p) * q.n_blocks + packed(q)``
 holds row r's cell key ``p.codes[r] * q.n_blocks + q.codes[r]`` in
 field r (``cell_keys``).  Every key is below rows**2, and the field
 width follows from the row count (1 byte up to 16 rows, 2 up to 256, 4
-up to 65 536, else 8), so no field carries into the next.
+up to 65 536, else 8), so no field carries into the next.  Three
+partitions fold the same way into fields that hold ``k_p * k_q * k_r``
+keys (``triple_cell_keys``).
 """
 
 import math
@@ -318,9 +320,7 @@ class Partition(_Value):
     @_stored
     def packed(self) -> int:
         """``codes`` as one integer, row r's code in field r."""
-        width, fmt = _field(len(self.codes))
-        raw = bytes(self.codes) if width == 1 else array(fmt, self.codes)
-        return int.from_bytes(raw, sys.byteorder)
+        return _pack(self.codes, *_field(len(self.codes) ** 2))
 
     @_stored
     def entropy(self) -> float:
@@ -329,10 +329,16 @@ class Partition(_Value):
         return 0.0 - math.fsum(c / scale * math.log2(c / scale) for c in self.counts)
 
 
-def _field(rows: int) -> tuple[int, str]:
-    # bytes and array typecode of one field: every cell key is below rows**2
-    return ((1, "B") if rows <= 16 else (2, "H") if rows <= 256
-            else (4, "I") if rows <= 65536 else (8, "Q"))
+def _field(keys: int) -> tuple[int, str]:
+    # bytes and array typecode of a field that holds every integer below keys
+    return ((1, "B") if keys <= 1 << 8 else (2, "H") if keys <= 1 << 16
+            else (4, "I") if keys <= 1 << 32 else (8, "Q"))
+
+
+def _pack(codes: Sequence[int], width: int, fmt: str) -> int:
+    # codes as one integer, row r's code in field r of `width` bytes
+    raw = bytes(codes) if width == 1 else array(fmt, codes)
+    return int.from_bytes(raw, sys.byteorder)
 
 
 def _on_rows(codes: tuple[int, ...], rows, counts=None) -> Partition:
@@ -405,11 +411,34 @@ def cell_keys(p: Partition, q: Partition) -> Sequence[int]:
     """Row r's contingency cell as the integer ``p.codes[r] * q.n_blocks
     + q.codes[r]``, for every row in order, from one multiply-add on the
     packed codes; raises unless both carve the same weighted row universe."""
-    if (p.scale, p.multiplicities) != (q.scale, q.multiplicities):
+    # the partitions of one dataset share its multiplicities object
+    if p.scale != q.scale or (p.multiplicities is not q.multiplicities
+                              and p.multiplicities != q.multiplicities):
         raise StructuralError("partitions live on different row universes")
     rows = len(p.codes)
-    width, fmt = _field(rows)
+    width, fmt = _field(rows * rows)
     raw = (p.packed * len(q.counts) + q.packed).to_bytes(rows * width, sys.byteorder)
+    return raw if width == 1 else memoryview(raw).cast(fmt)
+
+
+# past this many three-way cells no 8-byte field holds their keys
+MAX_TRIPLE_CELLS = 1 << 64
+
+
+def triple_cell_keys(p: Partition, q: Partition, r: Partition) -> Sequence[int] | None:
+    """Row i's key ``(p.codes[i] * q.n_blocks + q.codes[i]) * r.n_blocks +
+    r.codes[i]``, as ``cell_keys`` folds two, re-packing the codes when the
+    row-sized fields are too narrow; ``None`` past ``MAX_TRIPLE_CELLS``."""
+    if any((s.scale, s.multiplicities) != (p.scale, p.multiplicities) for s in (q, r)):
+        raise StructuralError("partitions live on different row universes")
+    rows, kq, kr = len(p.codes), len(q.counts), len(r.counts)
+    cells = len(p.counts) * kq * kr
+    if cells > MAX_TRIPLE_CELLS:
+        return None
+    width, fmt = _field(max(rows * rows, cells))
+    wide = width > _field(rows * rows)[0]
+    a, b, c = (_pack(s.codes, width, fmt) if wide else s.packed for s in (p, q, r))
+    raw = ((a * kq + b) * kr + c).to_bytes(rows * width, sys.byteorder)
     return raw if width == 1 else memoryview(raw).cast(fmt)
 
 

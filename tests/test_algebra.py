@@ -1,4 +1,5 @@
 import functools
+import io
 import itertools
 import math
 import tracemalloc
@@ -15,6 +16,8 @@ from catent.algebra import (
     joint,
     relabel,
 )
+from catent.entropy import TOLERANCE
+from catent.ingest import load_csv, save_csv
 from catent.metric import instances, partition_distance
 from catent.model import (
     CategoricalVariable,
@@ -22,6 +25,7 @@ from catent.model import (
     StructuralError,
     induced_partition,
     join,
+    trivial_partition,
 )
 from catent.randgen import GenConfig, gen_dataset
 
@@ -43,10 +47,9 @@ def acceptance_population():
 
 def one_sided_joint(monkeypatch):
     """Patch ``catent.algebra.joint`` so that the joint of two different
-    columns carries only the left operand's labels, and the join, both as
-    ``catent.algebra.join`` and as ``catent.metric.join`` (where the
-    validators' operand store joins pairs), so that the join of two
-    different partitions is the left one: commutativity breaks, while
+    columns carries only the left operand's labels, and ``catent.algebra.join``
+    (which the validators' operand store joins pairs with), so that the join
+    of two different partitions is the left one: commutativity breaks, while
     associativity, identity and well-definedness still hold."""
     real_joint, real_join = algebra.joint, algebra.join
 
@@ -59,7 +62,6 @@ def one_sided_joint(monkeypatch):
 
     monkeypatch.setattr(algebra, "joint", left_only)
     monkeypatch.setattr(algebra, "join", left_only_join)
-    monkeypatch.setattr(metric, "join", left_only_join)
 
 
 def merging_relabel(monkeypatch):
@@ -107,9 +109,10 @@ def monoid_by_row_blocks(dataset):
 
 
 def contractivity_by_partition_distance(dataset, quads):
-    """Worst ``(slack, witness, lhs, rhs)`` over ``quads``, with every
-    distance from ``partition_distance`` on the operands in the order in
-    which its pair (of columns, or of joined pairs) is first asked for."""
+    """The contractivity report over ``quads``, with every distance from
+    ``partition_distance`` on the operands in the order in which its pair
+    (of columns, or of joined pairs) is first asked for, and a join per
+    ordered pair."""
     parts = {nm: induced_partition(dataset[nm], dataset) for nm in dataset.names}
     first: dict[frozenset, float] = {}
 
@@ -118,14 +121,58 @@ def contractivity_by_partition_distance(dataset, quads):
             first[key] = partition_distance(p, q)
         return first[key]
 
-    worst = (math.inf, None, None, None)
+    g = metric._Gauge("contractivity", -TOLERANCE)
     for x, y, z, w in quads:
         lhs = d(frozenset({(x, y), (z, w)}),
                 join(parts[x], parts[y]), join(parts[z], parts[w]))
         rhs = d(frozenset({x, z}), parts[x], parts[z]) + d(frozenset({y, w}), parts[y], parts[w])
-        if rhs - lhs < worst[0]:
-            worst = (rhs - lhs, (x, y, z, w), lhs, rhs)
-    return worst
+        g.add(rhs - lhs, (x, y, z, w), lhs=lhs, rhs=rhs)
+    return metric._report(g)
+
+
+def _fields(report):
+    """Every field of every check, floats as ``float.hex`` so that equality is
+    bit for bit."""
+    def bits(v):
+        return v.hex() if isinstance(v, float) else v
+    return [(c.name, c.instances, c.nonvacuous, c.violations, bits(c.worst_slack),
+             c.witness, bits(c.lhs), bits(c.rhs)) for c in report.checks]
+
+
+def monoid_by_ordered_joins(dataset, triples=None, seed=0):
+    """``check_monoid_laws`` by its first algorithm: every ordered pair's
+    join computed and kept apart, and both operands relabeled afresh for
+    every new pair."""
+    parts = {nm: induced_partition(dataset[nm], dataset) for nm in dataset.names}
+    pair = functools.cache(lambda a, b: join(parts[a], parts[b]))
+    const = trivial_partition(dataset)
+    gauges = [metric._Gauge(name, 0.0) for name in MONOID_CHECKS]
+    g_assoc, g_commut, g_ident, g_well = gauges
+    verdict = lambda equal: 0.0 if equal else float("-inf")  # noqa: E731
+    pairs_done, singles_done = set(), set()
+    for x, y, z in instances(dataset.names, 3, triples, seed):
+        g_assoc.add(verdict(join(pair(x, y), parts[z]) == join(parts[x], pair(y, z))), (x, y, z))
+        if (x, y) not in pairs_done:
+            pairs_done.add((x, y))
+            g_commut.add(verdict(pair(x, y) == pair(y, x)), (x, y))
+            copies = joint(relabel(dataset[x]), relabel(dataset[y]), dataset)
+            g_well.add(verdict(induced_partition(copies, dataset) == pair(x, y)), (x, y))
+        if x not in singles_done:
+            singles_done.add(x)
+            g_ident.add(verdict(join(parts[x], const) == parts[x]), (x,))
+    return metric._report(*gauges)
+
+
+def _counting(monkeypatch, module, name):
+    """Patch ``module.name`` with a wrapper that counts its calls."""
+    real, calls = getattr(module, name), []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 class TestJoint:
@@ -157,6 +204,45 @@ class TestJoint:
     def test_self_joint_is_indiscernible_from_original(self, internship):
         x = internship["Creativity"]
         assert are_indiscernible(joint(x, x, internship), x, internship)
+
+    def test_rows_with_one_pair_share_its_label(self, internship):
+        j = joint(internship["Creativity"], internship["GotHired"], internship)
+        assert j.labels[2] == j.labels[3] == ("D", "Y") and j.labels[2] is j.labels[3]
+
+    @staticmethod
+    def _fold(count):
+        # a joint over `count` columns, one column at a time, as the CLI folds
+        names = [f"c{i}" for i in range(count)]
+        data = Dataset.from_columns(
+            {nm: ["x", "y", "x", "y"] if i % 2 else ["p", "p", "q", "q"]
+             for i, nm in enumerate(names)})
+        return data, functools.reduce(
+            lambda acc, nm: joint(acc, data[nm], data), names[1:], data[names[0]])
+
+    def test_deep_fold_refuses_with_a_structural_error(self):
+        # past MAX_JOINT levels, saving or hashing the labels would recurse too deep
+        with pytest.raises(StructuralError, match=f"at most {algebra.MAX_JOINT} levels"):
+            self._fold(400)
+        with pytest.raises(ValueError):
+            self._fold(algebra.MAX_JOINT + 2)
+        self._fold(algebra.MAX_JOINT + 1)
+
+    def test_hundred_column_fold_round_trips_through_csv(self):
+        data, combined = self._fold(100)
+        text = save_csv(data.with_column(combined))
+        back = load_csv(io.StringIO(text))
+        assert save_csv(back) == text
+        assert (induced_partition(back[combined.name], back)
+                == induced_partition(combined, data))
+
+    def test_balanced_wide_fold_is_shallow(self):
+        data = Dataset.from_columns({f"c{i}": ["x", "y", "y"] for i in range(400)})
+        level = [data[nm] for nm in data.names]
+        while len(level) > 1:  # 400 columns, nine levels deep
+            level = [joint(*level[i:i + 2], data) if i + 1 < len(level) else level[i]
+                     for i in range(0, len(level), 2)]
+        assert induced_partition(level[0], data) == induced_partition(data["c0"], data)
+        assert len(save_csv(data.with_column(level[0]))) > 0
 
 
 class TestIdentityAndIndiscernibility:
@@ -308,6 +394,49 @@ class TestMonoidLaws:
         assert peak < 8 * 2**20
 
 
+class TestSharedWork:
+    """The validators share every distinct join, distance and relabeled copy
+    within one call, with every field of the report, floats bit for bit, as
+    the algorithms that computed each instance afresh."""
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        return gen_dataset(GenConfig(seed=11, correlation_mode="refined"), columns=10)
+
+    def test_monoid_matches_the_ordered_join_loop(self, acceptance_population, wide):
+        for dataset in acceptance_population:
+            assert _fields(check_monoid_laws(dataset)) == _fields(monoid_by_ordered_joins(dataset))
+        assert (_fields(check_monoid_laws(wide, triples=1000, seed=3))
+                == _fields(monoid_by_ordered_joins(wide, 1000, 3)))
+
+    def test_contractivity_matches_the_ordered_join_loop(self, acceptance_population, wide):
+        for dataset in acceptance_population:
+            assert (_fields(check_contractivity(dataset)) == _fields(
+                contractivity_by_partition_distance(dataset, instances(dataset.names, 4))))
+        assert (_fields(check_contractivity(wide, quadruples=1000, seed=3)) == _fields(
+            contractivity_by_partition_distance(wide, instances(wide.names, 4, 1000, 3))))
+
+    def test_commuted_joins_share_one_distance(self, monkeypatch):
+        data = gen_dataset(GenConfig(seed=3), columns=5)
+        distances = _counting(monkeypatch, algebra, "partition_distance")
+        joins = _counting(monkeypatch, algebra, "join")
+        check_contractivity(data)
+        # 15 column pairs, and 160 of the 325 unordered pairs of ordered joins
+        # (15 joins, one per unordered column pair, each order included)
+        assert (len(distances), len(joins)) == (175, 15)
+
+    def test_a_sampled_ten_column_run_builds_each_join_once(self, monkeypatch, wide):
+        joins = _counting(monkeypatch, algebra, "join")
+        check_contractivity(wide, quadruples=1000, seed=3)
+        assert len(joins) <= 10 * 11 // 2
+
+    def test_monoid_relabels_each_column_once(self, monkeypatch):
+        data = gen_dataset(GenConfig(seed=3), columns=5)
+        copies = _counting(monkeypatch, algebra, "relabel")
+        check_monoid_laws(data)
+        assert sorted(var.name for (var,) in copies) == sorted(data.names)
+
+
 class TestContractivity:
     def test_memory_stays_flat_on_wide_sampled_data(self):
         # a memo of every ordered-pair join (with its packed codes) grows with
@@ -378,6 +507,5 @@ class TestContractivity:
         runs = [(None, 0, list(itertools.product(data.names, repeat=4)))]
         runs += [(1, seed, instances(data.names, 4, 1, seed)) for seed in range(4)]
         for size, seed, quads in runs:
-            check = check_contractivity(data, quadruples=size, seed=seed).check("contractivity")
-            got = (check.worst_slack, check.witness, check.lhs, check.rhs)
-            assert got == contractivity_by_partition_distance(data, quads)
+            got = check_contractivity(data, quadruples=size, seed=seed)
+            assert _fields(got) == _fields(contractivity_by_partition_distance(data, quads))

@@ -696,13 +696,17 @@ class TestCheckLemma2:
         assert "overall: PASS" in out
 
     def test_broken_kernel_fails_with_witness_lines(self, capsys, monkeypatch, internship):
-        # an offset on H(a | b) for fine a breaks the chain rule on some triples;
-        # the package re-exports the function ``entropy`` under the module's name
+        # an offset on H(a | b) of two columns, for fine a, breaks the chain rule
+        # on some triples; the dataset route takes its join-side entropies from
+        # a three-way table, so only column pairs go through the patched kernel
+        # on both routes; the package re-exports the function ``entropy`` under
+        # the module's name
         entropy_module = importlib.import_module("catent.entropy")
         real = entropy_module.conditional_entropy
 
         def skewed(a, b):
-            return real(a, b) + (0.5 if a.n_blocks > 3 else 0.0)
+            columns = a._pairs is not None and b._pairs is not None
+            return real(a, b) + (0.5 if columns and a.n_blocks > 3 else 0.0)
 
         monkeypatch.setattr(entropy_module, "conditional_entropy", skewed)
         monkeypatch.setattr(importlib.import_module("catent.metric"),

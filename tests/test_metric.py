@@ -1,16 +1,21 @@
+import importlib
 import io
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
 from catent.algebra import check_contractivity, check_monoid_laws
 from catent.ingest import load_matrix
+from catent import model
 from catent.entropy import (
     LAWS,
     TOLERANCE,
+    _join_route,
+    _three_way,
     check_conditional_entropy_laws,
     entropy,
     mutual_information,
@@ -371,6 +376,33 @@ def _dataset_tally(report):
     return {c.name: (c.instances, c.nonvacuous, c.violations, c.passed) for c in report.checks}
 
 
+def _assert_three_way_is_the_join_route(dataset, triples=None, seed=0):
+    # H(x v y | z), H(y | x v z), H(x | y v z) and H(x v y), bit for bit
+    parts = canonical_classes(dataset)
+    for triple in instances(dataset.names, 3, triples, seed):
+        x, y, z = map(parts.__getitem__, triple)
+        got = [value.hex() for value in _three_way(x, y, z)]
+        assert got == [value.hex() for value in _join_route(x, y, z)], triple
+
+
+def _wide_alphabet_dataset(rows, symbols, weighted):
+    # three-way cells past the row-sized key field, so the codes are re-packed
+    columns = {f"c{i}": [(r * step + i) % symbols for r in range(rows)]
+               for i, step in enumerate((1, 7, 11))}
+    if not weighted:
+        return Dataset.from_columns(columns)
+    mult = [1 + r % 3 for r in range(rows)]
+    return Dataset.from_columns(columns, [Fraction(m, sum(mult)) for m in mult])
+
+
+def _report_bits(report):
+    # every field of every check, floats as float.hex so that equality is bit for bit
+    def bits(v):
+        return v.hex() if isinstance(v, float) else v
+    return [(c.name, c.instances, c.nonvacuous, c.violations, bits(c.worst_slack),
+             c.witness, bits(c.lhs), bits(c.rhs)) for c in report.checks]
+
+
 class TestEntropyLaws:
     def test_fixture_tallies(self, internship):
         report = check_entropy_laws(internship)
@@ -406,7 +438,7 @@ class TestEntropyLaws:
         assert len(chain.witness) == 3
 
     def test_memory_stays_flat_on_wide_sampled_data(self):
-        # the operand store keeps three joins (one triple's) of a code per row
+        # no join is built: one triple's three-way tally is the largest table
         data = gen_dataset(GenConfig(seed=0, rows=(1024, 1024)), 50)
         tracemalloc.start()
         try:
@@ -416,6 +448,57 @@ class TestEntropyLaws:
             tracemalloc.stop()
         assert report.passed
         assert peak < 3 * 2**20
+
+    # H(x v y | z), H(y | x v z), H(x | y v z) and H(x v y) come from one
+    # three-way cell tally per triple: the join route's floats, bit for bit
+    def test_join_side_values_are_the_join_routes_on_the_acceptance_population(self):
+        for seed in range(1000):
+            _assert_three_way_is_the_join_route(
+                gen_dataset(GenConfig(seed=seed), columns=seed % 4 + 2))
+
+    @given(strategies.weighted_datasets())
+    @settings(max_examples=100, deadline=None)
+    def test_join_side_values_are_the_join_routes_on_weighted_universes(self, drawn):
+        _assert_three_way_is_the_join_route(drawn[0])
+
+    # 12 rows: 1-byte fields re-packed to 2 bytes; 200: 2 to 4; 2000: 4 to 8
+    @pytest.mark.parametrize("rows, symbols", [(12, 12), (200, 50), (2000, 2000)])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "weighted"])
+    def test_join_side_values_are_the_join_routes_in_re_packed_fields(
+            self, rows, symbols, weighted):
+        data = _wide_alphabet_dataset(rows, symbols, weighted)
+        x, y, z = canonical_classes(data).values()
+        assert x.n_blocks == y.n_blocks == z.n_blocks == symbols
+        keys = memoryview(model.triple_cell_keys(x, y, z))
+        assert keys.itemsize > model._field(rows * rows)[0]
+        _assert_three_way_is_the_join_route(data)
+
+    def test_join_side_values_are_the_join_routes_on_16384_rows(self):
+        data = gen_dataset(GenConfig(seed=0, rows=(16384, 16384), alphabet_size=(2, 30)),
+                           columns=3)
+        _assert_three_way_is_the_join_route(data)
+
+    def test_past_the_key_bound_the_join_route_gives_the_same_report(self, monkeypatch):
+        # no test-sized dataset has 2**64 three-way cells, so the bound is lowered
+        data = gen_dataset(GenConfig(seed=11, correlation_mode="refined"), columns=4)
+        want = check_entropy_laws(data)
+        entropy_module = importlib.import_module("catent.entropy")
+        real, routed = entropy_module._join_route, []
+
+        def join_route(x, y, z):
+            routed.append((x, y, z))
+            return real(x, y, z)
+
+        monkeypatch.setattr(entropy_module, "_join_route", join_route)
+        monkeypatch.setattr(model, "MAX_TRIPLE_CELLS", 8)
+        got = check_entropy_laws(data)
+        assert 0 < len(routed) < 4**3
+        assert all(x.n_blocks * y.n_blocks * z.n_blocks > 8 for x, y, z in routed)
+        assert _report_bits(got) == _report_bits(want)
+        before = len(routed)
+        monkeypatch.setattr(model, "MAX_TRIPLE_CELLS", 0)  # every triple past it
+        assert _report_bits(check_entropy_laws(data)) == _report_bits(want)
+        assert len(routed) - before == 4**3
 
 
 class TestNondiscreteness:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from catent.algebra import check_contractivity, check_monoid_laws, joint, relabel
 from catent.entropy import conditional_entropy
 from catent.metric import check_entropy_laws
+from catent import model
 from catent.model import (
     CategoricalVariable,
     ContingencyTable,
@@ -29,6 +30,7 @@ from catent.model import (
     is_coarser,
     join,
     trivial_partition,
+    triple_cell_keys,
 )
 from catent.randgen import GenConfig, gen_dataset
 
@@ -306,6 +308,76 @@ class TestJoin:
         if len(parts) == 3:
             r = parts[2]
             assert join(join(p, q), r) == join(p, join(q, r))
+
+
+class TestRowUniverses:
+    """Two partitions meet only on one weighted row universe: the same
+    ``scale`` and equal ``multiplicities``, one object or two."""
+
+    UNIFORM = Dataset.from_columns({"a": ["x", "y", "x", "y"], "b": ["p", "p", "q", "q"]})
+    # four rows weighing 2/8, 1/8, 3/8, 2/8: another scale on as many rows
+    WEIGHTED = Dataset.from_columns(
+        {"a": ["x", "y", "x", "y"]}, [Fraction(m, 8) for m in (2, 1, 3, 2)])
+    # three rows weighing 2/4, 1/4, 1/4: the uniform scale, other rows
+    SHORT = Dataset.from_columns({"a": ["x", "y", "x"]}, [Fraction(m, 4) for m in (2, 1, 1)])
+    # the same scale and row count as WEIGHTED, other multiplicities
+    SHUFFLED = Dataset.from_columns(
+        {"a": ["x", "y", "x", "y"]}, [Fraction(m, 8) for m in (1, 2, 3, 2)])
+
+    KERNELS = {
+        "cell_keys": cell_keys,
+        "join": join,
+        "conditional_entropy": conditional_entropy,
+        "triple_cell_keys": lambda p, q: triple_cell_keys(p, p, q),
+    }
+
+    @staticmethod
+    def _part(d, name="a"):
+        return induced_partition(d[name], d)
+
+    @pytest.mark.parametrize("kernel", list(KERNELS))
+    @pytest.mark.parametrize("other", ["WEIGHTED", "SHORT", "SHUFFLED"])
+    def test_another_universe_is_refused(self, kernel, other):
+        first = self.UNIFORM if other != "SHUFFLED" else self.WEIGHTED
+        p, q = self._part(first), self._part(getattr(self, other))
+        for a, b in ((p, q), (q, p)):
+            with pytest.raises(StructuralError, match="different row universes"):
+                self.KERNELS[kernel](a, b)
+
+    @pytest.mark.parametrize("kernel", list(KERNELS))
+    @pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "weighted"])
+    def test_equal_multiplicities_in_two_objects_are_one_universe(self, kernel, weighted):
+        source = self.WEIGHTED if weighted else self.UNIFORM
+        twin = Dataset.from_columns({"a": source["a"].labels},
+                                    [Fraction(w) for w in source.row_weights])
+        if weighted:
+            assert twin.multiplicities == source.multiplicities
+            assert twin.multiplicities is not source.multiplicities
+        p, q = self._part(source), self._part(twin)
+        want = self.KERNELS[kernel](p, p)
+        got = self.KERNELS[kernel](p, q)
+        assert (list(got) == list(want) if kernel.endswith("keys") else got == want)
+
+
+class TestTripleCellKeys:
+    """``triple_cell_keys`` against a per-row recount, at a field wide
+    enough for the rows and at re-packed wider ones."""
+
+    @pytest.mark.parametrize("rows, symbols", [(6, 3), (12, 12), (200, 50), (2000, 2000)])
+    def test_keys_match_the_per_row_formula(self, rows, symbols):
+        d = Dataset.from_columns({f"c{i}": [(r * step + i) % symbols for r in range(rows)]
+                                  for i, step in enumerate((1, 7, 11))})
+        p, q, r = (induced_partition(d[nm], d) for nm in d.names)
+        want = [(a * q.n_blocks + b) * r.n_blocks + c
+                for a, b, c in zip(p.codes, q.codes, r.codes)]
+        assert list(triple_cell_keys(p, q, r)) == want
+
+    def test_none_past_the_bound(self, monkeypatch):
+        d = Dataset.from_columns({"a": ["x", "y", "z"], "b": ["p", "q", "q"]})
+        p, q = induced_partition(d["a"], d), induced_partition(d["b"], d)
+        monkeypatch.setattr(model, "MAX_TRIPLE_CELLS", 3 * 2 * 2 - 1)
+        assert triple_cell_keys(p, q, q) is None
+        assert triple_cell_keys(q, q, q) is not None
 
 
 class TestIsCoarser:
