@@ -8,13 +8,19 @@ SU-distance:
 
     d(x * y, z * w)  <=  d(x, z) + d(y, w)
 
-so joining is continuous in the metric of ``catent.metric``.  The law
-checkers below test the monoid laws exactly (induced-partition equality;
-no tolerance) and contractivity numerically, on the columns'
+so joining is continuous in the metric of ``catent.metric``.  Proof: the
+variation of information ``V(a,b) = H(a|b) + H(b|a)`` (Meila 2007) gives
+``d(a,b) = V(a,b) / (H(a) + H(b))`` (both 0 for two constants).  The
+chain rule and "conditioning reduces entropy" give ``H(x*y | z*w) <=
+H(x | z*w) + H(y | x*z*w) <= H(x|z) + H(y|w)``, and the same with the
+sides swapped, so ``V(x*y, z*w) <= V(x,z) + V(y,w)``.  ``H(x*y) + H(z*w)``
+is at least ``H(x) + H(z)`` and at least ``H(y) + H(w)``, so ``d(x*y, z*w)
+<= V(x,z) / (H(x) + H(z)) + V(y,w) / (H(y) + H(w)) = d(x,z) + d(y,w)``.
+
+The law checkers below test the monoid laws exactly (induced-partition
+equality; no tolerance) and contractivity numerically, on the columns'
 partitions.  Each check computes each distinct join, distance and
-relabeled column once, and keeps at most ``EXHAUSTIVE_LIMIT ** 2`` pair
-joins (each caching its entropy), so memory stays flat on sampled runs
-over many columns.
+relabeled column once; ``_operands`` bounds the joins it keeps.
 """
 
 import functools
@@ -40,8 +46,8 @@ from .metric import (
     partition_distance,
 )
 
-# joint nests one label level per fold, and labels are formatted and compared
-# recursively: far below the interpreter's recursion limit, even from a deep stack
+# joint nests one label level per fold, and the interpreter compares nested labels
+# recursively: far below its recursion limit, even from a deep stack
 MAX_JOINT = 100
 
 
@@ -94,11 +100,13 @@ def relabel(var: CategoricalVariable) -> CategoricalVariable:
     return CategoricalVariable(var.name + "'", tuple(rename[l] for l in var.labels))
 
 
-def _operands(parts: Mapping[str, Partition], joins: int) -> Callable:
+def _operands(parts: Mapping[str, Partition]) -> Callable:
     """A validator's operand store: a column name maps to its partition in
     ``parts``, and a pair of names to the join of their partitions.  A join
-    holds a code per row, so only the last ``joins`` are kept."""
-    pair_join = functools.lru_cache(maxsize=joins)(lambda a, b: join(parts[a], parts[b]))
+    holds a code per row, so only the last ``EXHAUSTIVE_LIMIT ** 2`` are
+    kept: room for every ordered pair of an exhaustive run, and a bound on
+    the memory of a sampled run over many columns."""
+    pair_join = functools.lru_cache(EXHAUSTIVE_LIMIT**2)(lambda a, b: join(parts[a], parts[b]))
     return lambda key: parts[key] if key in parts else pair_join(*key)
 
 
@@ -124,8 +132,7 @@ def check_monoid_laws(
     """
     triple_list = instances(dataset.names, 3, triples, seed)
     parts = canonical_classes(dataset)
-    # room for every ordered pair join of an exhaustive run, a bound for sampled ones
-    operand = _operands(parts, EXHAUSTIVE_LIMIT**2)
+    operand = _operands(parts)
     const = trivial_partition(dataset)
     copy = functools.cache(lambda name: relabel(dataset[name]))
 
@@ -171,7 +178,7 @@ def check_contractivity(
     both orders.
     """
     quad_list = instances(dataset.names, 4, quadruples, seed)
-    operand = _operands(canonical_classes(dataset), EXHAUSTIVE_LIMIT**2)
+    operand = _operands(canonical_classes(dataset))
 
     def canonical(a):  # a column name, or the sorted pair naming a join
         return a if a.__class__ is str or a[0] <= a[1] else (a[1], a[0])

@@ -202,22 +202,30 @@ def _three_way(x: Partition, y: Partition, z: Partition) -> tuple:
             0.0 - fsum([c / scale * log2(c / scale) for c in xy.values()]))
 
 
-def _law_gaps(x, y, z, cond, coarser, h_x, joined) -> tuple:
+def _law_gaps(x: Partition, y: Partition, z: Partition, coarse: bool, joined: tuple) -> tuple:
     """Gap of each law in ``LAWS`` on one triple; ``None`` where vacuous.
 
-    The caller gives the operands, the kernels ``cond(a, b) = H(a | b)``
-    and ``coarser(a, b)``, ``h_x = H(x)`` and the four values of
-    ``_join_route`` as ``joined``.  A law holds when its gap is at most
-    ``TOLERANCE``.
+    The caller gives the partitions, whether ``x`` is coarser than ``y``,
+    and the four values of ``_join_route`` as ``joined``.  A law holds when
+    its gap is at most ``TOLERANCE``.
     """
     h_xy_z, h_y_xz, h_x_yz, h_xy = joined
-    h_x_y, h_x_z = cond(x, y), cond(x, z)
+    h_x_y, h_x_z = conditional_entropy(x, y), conditional_entropy(x, z)
     chain = abs(h_xy_z - (h_x_z + h_y_xz))
-    coarse, zero = coarser(x, y), h_x_y <= TOLERANCE
-    monotone = max(h_x_z - cond(y, z), cond(z, y) - cond(z, x), 0.0) if coarse else None
+    zero = h_x_y <= TOLERANCE
+    monotone = max(h_x_z - conditional_entropy(y, z),
+                   conditional_entropy(z, y) - conditional_entropy(z, x), 0.0) if coarse else None
     iff = (0.0 if zero else h_x_y) if coarse else (math.inf if zero else None)
     reduces = max(h_x_yz - h_x_y, h_x_yz - h_x_z, 0.0)
-    return chain, monotone, iff, max(h_x - h_xy, 0.0), reduces
+    return chain, monotone, iff, max(x.entropy - h_xy, 0.0), reduces
+
+
+# a vacuous clause is the same on every triple: one shared value per law
+_VACUOUS = {name: LawClause(name, True, True, 0.0) for name in LAWS}
+
+
+def _clause(name: str, gap: float | None) -> LawClause:
+    return _VACUOUS[name] if gap is None else LawClause(name, gap <= TOLERANCE, False, gap)
 
 
 def check_conditional_entropy_laws(x: Partition, y: Partition, z: Partition) -> LawReport:
@@ -238,17 +246,8 @@ def check_conditional_entropy_laws(x: Partition, y: Partition, z: Partition) -> 
 
     ``catent.metric.check_entropy_laws`` runs the same laws over the
     column triples of a dataset.  Operands from another row universe
-    raise ``StructuralError`` in the first ``join`` or
+    raise ``StructuralError`` in the first ``is_coarser``, ``join`` or
     ``conditional_entropy`` that meets them.
     """
-    chain, monotone, iff, raises, reduces = _law_gaps(
-        x, y, z, conditional_entropy, is_coarser, x.entropy, _join_route(x, y, z))
-    return LawReport((
-        LawClause("chain_rule", chain <= TOLERANCE, False, chain),
-        LawClause("coarsening_monotone", True, True, 0.0) if monotone is None
-        else LawClause("coarsening_monotone", monotone <= TOLERANCE, False, monotone),
-        LawClause("zero_iff_coarser", True, True, 0.0) if iff is None
-        else LawClause("zero_iff_coarser", iff <= TOLERANCE, False, iff),
-        LawClause("join_raises_entropy", raises <= TOLERANCE, False, raises),
-        LawClause("conditioning_reduces", reduces <= TOLERANCE, False, reduces),
-    ))
+    gaps = _law_gaps(x, y, z, is_coarser(x, y), _join_route(x, y, z))
+    return LawReport(tuple(map(_clause, LAWS, gaps)))

@@ -345,7 +345,6 @@ def check_similarity_axioms(
     triple_list = instances(names, 3, triples, seed)
     seen = {(a, b) for x, y, z in triple_list for a, b in ((x, y), (y, z), (x, z))}
     seen.update((nm, nm) for nm in names)
-    pair_list = sorted(seen)
 
     # keyed by the ordered pair: symmetry compares two computations
     su = functools.cache(lambda a, b: symmetric_uncertainty(parts[a], parts[b]))
@@ -361,13 +360,11 @@ def check_similarity_axioms(
     for nm in names:
         g_self_nonneg.add(su(nm, nm), (nm,), lhs=su(nm, nm), rhs=0.0)
 
-    done_unordered = set()
-    for a, b in pair_list:
+    for a, b in sorted(seen):
         v = su(a, b)
         g_range.add(min(v, 1.0 - v), (a, b), lhs=v, rhs=None)
         g_dominance.add(su(a, a) - v, (a, b), lhs=v, rhs=su(a, a))
-        if frozenset((a, b)) not in done_unordered:
-            done_unordered.add(frozenset((a, b)))
+        if a <= b or (b, a) not in seen:  # once per unordered pair, at its first in order
             g_symmetry.add(-abs(v - su(b, a)), (a, b), lhs=v, rhs=su(b, a))
         if parts[a] == parts[b]:
             g_max_equal.add(-(1.0 - v), (a, b), lhs=v, rhs=1.0)
@@ -448,24 +445,20 @@ def check_entropy_laws(
     """The laws of ``catent.entropy.check_conditional_entropy_laws``, by the
     same body, over the triples ``instances(names, 3, triples, seed)``.
 
-    Conditional entropies of two columns come from the dataset's table
-    (see ``catent.entropy.conditional_entropy``), coarseness of two columns
-    is memoised by the ordered pair, and a partition computes its entropy
-    once.  ``H(x v y | z)``, ``H(y | x v z)``, ``H(x | y v z)`` and
-    ``H(x v y)`` come from one three-way cell tally per triple
-    (``catent.entropy._three_way``), so no join is built or kept unless the
-    cells outgrow an 8-byte key.  Each law reports its gap as ``lhs``
-    against ``rhs`` 0; an instance where a conditional law's hypothesis did
-    not fire is vacuous.
+    Coarseness of two columns is memoised by the ordered pair, and
+    ``H(x v y | z)``, ``H(y | x v z)``, ``H(x | y v z)`` and ``H(x v y)``
+    come from one three-way cell tally per triple (``_three_way``), so no
+    join is built or kept unless the cells outgrow an 8-byte key.  Each
+    law reports its gap as ``lhs`` against ``rhs`` 0; an instance where a
+    conditional law's hypothesis did not fire is vacuous.
     """
     names = dataset.names
     parts = canonical_classes(dataset)
-    cond = lambda a, b: conditional_entropy(parts[a], parts[b])  # noqa: E731
     coarser = functools.cache(lambda a, b: is_coarser(parts[a], parts[b]))
     gauges = [_Gauge(name, -TOLERANCE) for name in LAWS]
     for triple in instances(names, 3, triples, seed):
         x, y, z = map(parts.__getitem__, triple)
-        gaps = _law_gaps(*triple, cond, coarser, x.entropy, _three_way(x, y, z))
+        gaps = _law_gaps(x, y, z, coarser(*triple[:2]), _three_way(x, y, z))
         for gauge, gap in zip(gauges, gaps):
             if gap is None:
                 gauge.skip()

@@ -486,7 +486,7 @@ def canonical_classes(dataset: Dataset) -> dict[str, Partition]:
 # ---------------------------------------------------------------------------
 # label serialisation
 
-_SPECIAL = "\\,()"
+_ESCAPE = str.maketrans({ch: "\\" + ch for ch in "\\,()"})
 
 
 def format_label(label: Label) -> str:
@@ -495,9 +495,22 @@ def format_label(label: Label) -> str:
     Tuple labels (joint variables) become ``(a,b)``; the characters
     ``\\ , ( )`` inside scalar labels are backslash-escaped, so distinct
     labels built from strings and tuples never share a text: a reloaded
-    joint column keeps its class.
+    joint column keeps its class.  Nested tuples are walked with an
+    explicit stack, so no depth of nesting recurses.
     """
-    if isinstance(label, tuple):
-        return "(" + ",".join(format_label(part) for part in label) + ")"
-    text = str(label)
-    return "".join("\\" + ch if ch in _SPECIAL else ch for ch in text)
+    if not isinstance(label, tuple):
+        return str(label).translate(_ESCAPE)
+    out, stack = ["("], [iter(label)]
+    while stack:
+        for part in stack[-1]:
+            if out[-1] != "(":  # past a tuple's first part (a scalar's text is never "(")
+                out.append(",")
+            if isinstance(part, tuple):
+                out.append("(")
+                stack.append(iter(part))
+                break
+            out.append(str(part).translate(_ESCAPE))
+        else:
+            stack.pop()
+            out.append(")")
+    return "".join(out)

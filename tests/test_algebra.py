@@ -220,12 +220,23 @@ class TestJoint:
             lambda acc, nm: joint(acc, data[nm], data), names[1:], data[names[0]])
 
     def test_deep_fold_refuses_with_a_structural_error(self):
-        # past MAX_JOINT levels, saving or hashing the labels would recurse too deep
+        # past MAX_JOINT levels, comparing the labels would recurse too deep
         with pytest.raises(StructuralError, match=f"at most {algebra.MAX_JOINT} levels"):
             self._fold(400)
         with pytest.raises(ValueError):
             self._fold(algebra.MAX_JOINT + 2)
         self._fold(algebra.MAX_JOINT + 1)
+
+    def test_first_row_flat_and_second_deep_round_trips_through_csv(self):
+        # the nesting bound reads row 0 only, so a deeper row 1 gets through
+        deep = "z"
+        for _ in range(150):
+            deep = (deep, "w")
+        data = Dataset.from_columns({"a": ["x", deep, "x"], "b": ["p", "q", "q"]})
+        combined = joint(data["a"], data["b"], data)
+        back = load_csv(io.StringIO(save_csv(data.with_column(combined))))
+        assert (induced_partition(back[combined.name], back)
+                == induced_partition(combined, data))
 
     def test_hundred_column_fold_round_trips_through_csv(self):
         data, combined = self._fold(100)

@@ -2,6 +2,7 @@ import importlib
 import io
 import itertools
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -14,7 +15,10 @@ from catent import model
 from catent.entropy import (
     LAWS,
     TOLERANCE,
+    LawClause,
+    LawReport,
     _join_route,
+    _law_gaps,
     _three_way,
     check_conditional_entropy_laws,
     entropy,
@@ -33,7 +37,7 @@ from catent.metric import (
     partition_distance,
     su_distance,
 )
-from catent.model import Dataset, canonical_classes, induced_partition
+from catent.model import Dataset, canonical_classes, induced_partition, is_coarser
 from catent.randgen import GenConfig, gen_dataset
 
 import oracle
@@ -230,6 +234,15 @@ class TestSimilarityAxioms:
         tri = similarity_report(triangle_counterexample).check("triangle_bound")
         assert tri.worst_slack == pytest.approx(expected, abs=1e-12)
 
+    def test_symmetry_checks_each_unordered_pair_once(self):
+        data = gen_dataset(GenConfig(seed=3, rows=(12, 12)), columns=9)
+        seen = {pair for x, y, z in instances(data.names, 3, 50, 0)
+                for pair in ((x, y), (y, z), (x, z))}
+        assert any(a > b and (b, a) not in seen for a, b in seen)  # some in one order only
+        seen.update((nm, nm) for nm in data.names)
+        symmetry = similarity_report(data, triples=50).check("symmetry")
+        assert symmetry.instances == len({frozenset(pair) for pair in seen})
+
     @given(strategies.datasets(min_cols=2, max_cols=3))
     @settings(max_examples=60, deadline=None)
     def test_universal_conditions_always_hold(self, data):
@@ -395,6 +408,14 @@ def _wide_alphabet_dataset(rows, symbols, weighted):
     return Dataset.from_columns(columns, [Fraction(m, sum(mult)) for m in mult])
 
 
+def _skew_the_law_body(monkeypatch):
+    # an offset on every H(a | b) the law body reads breaks the chain rule by
+    # 0.5; ``catent.entropy`` names the function ``entropy``, not the module
+    module = sys.modules["catent.entropy"]
+    real = module.conditional_entropy
+    monkeypatch.setattr(module, "conditional_entropy", lambda a, b: real(a, b) + 0.5)
+
+
 def _report_bits(report):
     # every field of every check, floats as float.hex so that equality is bit for bit
     def bits(v):
@@ -425,17 +446,44 @@ class TestEntropyLaws:
         assert _dataset_tally(report) == _per_triple_tally(data, triples=400, seed=5)
 
     def test_violation_carries_its_triple_and_gap(self, internship, monkeypatch):
-        import catent.metric
-
-        real = catent.metric.conditional_entropy
-        monkeypatch.setattr(
-            catent.metric, "conditional_entropy", lambda a, b: real(a, b) + 0.5
-        )
+        _skew_the_law_body(monkeypatch)
         chain = check_entropy_laws(internship).check("chain_rule")
         assert chain.violations == chain.nonvacuous == 216
         assert chain.lhs == pytest.approx(0.5) and chain.rhs == 0.0
         assert chain.worst_slack == -chain.lhs
         assert len(chain.witness) == 3
+
+    def test_one_patched_kernel_turns_both_validators_red(self, internship, monkeypatch):
+        # both validators evaluate the laws through the one body
+        _skew_the_law_body(monkeypatch)
+        assert not check_entropy_laws(internship).passed
+        x, y, z = (induced_partition(internship[nm], internship) for nm in internship.names[:3])
+        assert not check_conditional_entropy_laws(x, y, z).passed
+
+    def test_clauses_match_the_five_spelled_out_branches(self):
+        def spelled_out(x, y, z):
+            chain, monotone, iff, raises, reduces = _law_gaps(
+                x, y, z, is_coarser(x, y), _join_route(x, y, z))
+            return LawReport((
+                LawClause("chain_rule", chain <= TOLERANCE, False, chain),
+                LawClause("coarsening_monotone", True, True, 0.0) if monotone is None
+                else LawClause("coarsening_monotone", monotone <= TOLERANCE, False, monotone),
+                LawClause("zero_iff_coarser", True, True, 0.0) if iff is None
+                else LawClause("zero_iff_coarser", iff <= TOLERANCE, False, iff),
+                LawClause("join_raises_entropy", raises <= TOLERANCE, False, raises),
+                LawClause("conditioning_reduces", reduces <= TOLERANCE, False, reduces),
+            ))
+
+        vacuous = 0
+        for seed in range(200):
+            data = gen_dataset(GenConfig(seed=seed), columns=5)
+            parts = canonical_classes(data)
+            for triple in itertools.product(data.names, repeat=3):
+                x, y, z = map(parts.__getitem__, triple)
+                report = check_conditional_entropy_laws(x, y, z)
+                assert report == spelled_out(x, y, z), (seed, triple)
+                vacuous += sum(c.vacuous for c in report.clauses)
+        assert vacuous > 0
 
     def test_memory_stays_flat_on_wide_sampled_data(self):
         # no join is built: one triple's three-way tally is the largest table

@@ -1,4 +1,5 @@
 import gc
+import io
 import itertools
 import math
 import weakref
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from catent.algebra import check_contractivity, check_monoid_laws, joint, relabel
 from catent.entropy import conditional_entropy
+from catent.ingest import load_csv, save_csv
 from catent.metric import check_entropy_laws
 from catent import model
 from catent.model import (
@@ -666,6 +668,14 @@ class TestLabelSerialisation:
         text = format_label("(D,Y)")  # a plain string that looks like a pair
         assert text == "\\(D\\,Y\\)"
         assert oracle.parse_label(text) == "(D,Y)"
+
+    def test_label_nested_past_the_recursion_limit_saves(self):
+        deep = "x"
+        for _ in range(1200):
+            deep = (deep, "y")
+        data = Dataset.from_columns({"a": [deep, "z"]})
+        back = load_csv(io.StringIO(save_csv(data)))
+        assert back["a"].labels == ("(" * 1200 + "x" + ",y)" * 1200, "z")
 
     def test_malformed_rejected(self):
         for bad in ("(a,b", "a)b", "(a,b))", "a\\"):
