@@ -145,23 +145,18 @@ def check_monoid_laws(
         # exact laws: margin 0 on success, -inf on a counterexample
         return 0.0 if equal else float("-inf")
 
-    pairs_done: set[tuple[str, str]] = set()
-    singles_done: set[str] = set()
     for nx, ny, nz in triple_list:
-        xy = operand((nx, ny))
-        left = join(xy, parts[nz])
+        left = join(operand((nx, ny)), parts[nz])
         right = join(parts[nx], operand((ny, nz)))
         g_assoc.add(verdict(left == right), (nx, ny, nz))
-
-        if (nx, ny) not in pairs_done:
-            pairs_done.add((nx, ny))
-            g_commut.add(verdict(xy == operand((ny, nx))), (nx, ny))
-            relabeled = joint(copy(nx), copy(ny), dataset)
-            g_well.add(verdict(induced_partition(relabeled, dataset) == xy), (nx, ny))
-
-        if nx not in singles_done:
-            singles_done.add(nx)
-            g_ident.add(verdict(join(parts[nx], const) == parts[nx]), (nx,))
+    # each pair and each single in the order the triples first name it
+    for pair in dict.fromkeys((nx, ny) for nx, ny, _ in triple_list):
+        xy = operand(pair)
+        g_commut.add(verdict(xy == operand(pair[::-1])), pair)
+        relabeled = joint(*map(copy, pair), dataset)
+        g_well.add(verdict(induced_partition(relabeled, dataset) == xy), pair)
+    for nx in dict.fromkeys(nx for nx, _, _ in triple_list):
+        g_ident.add(verdict(join(parts[nx], const) == parts[nx]), (nx,))
 
     return _report(g_assoc, g_commut, g_ident, g_well)
 

@@ -29,7 +29,7 @@ from .entropy import (
     mutual_information,
     symmetric_uncertainty,
 )
-from .ingest import CsvSpec, load_csv, save_csv, save_matrix
+from .ingest import MATRIX_FORMATS, CsvSpec, load_csv, save_csv, save_matrix
 from .metric import (
     MAX_DEMO_STEPS,
     AxiomReport,
@@ -312,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_io(p)
     add_full(p)
     p.add_argument("columns", nargs="*", type=_column, help="column subset (default: all)")
-    p.add_argument("--format", choices=("tsv", "json"), default="tsv")
+    p.add_argument("--format", choices=MATRIX_FORMATS, default="tsv")
     p.add_argument("--out", help="write to this path (always full precision)")
     p.set_defaults(func=_cmd_dist)
 

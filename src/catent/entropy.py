@@ -134,7 +134,7 @@ class LawClause(_Value):
     marks clauses whose hypothesis never fired on this triple.
     """
 
-    _fields = _compared = ("name", "passed", "vacuous", "gap")
+    _fields = ("name", "passed", "vacuous", "gap")
 
     def __init__(self, name: str, passed: bool, vacuous: bool, gap: float):
         _set(self, "name", name)
@@ -146,7 +146,7 @@ class LawClause(_Value):
 class LawReport(_Value):
     """Clause-by-clause outcome of the conditional-entropy laws."""
 
-    _fields = _compared = ("clauses",)
+    _fields = ("clauses",)
 
     def __init__(self, clauses: tuple[LawClause, ...]):
         _set(self, "clauses", clauses)

@@ -45,7 +45,7 @@ class CsvSpec(_Value):
     ``save_csv``).  The delimiter is any single character but the quote
     ``"`` and the line breaks ``\r`` and ``\n``."""
 
-    _fields = _compared = ("delimiter", "drop_na")
+    _fields = ("delimiter", "drop_na")
 
     def __init__(self, delimiter: str = ",", drop_na: bool = False):
         _set(self, "delimiter", delimiter)

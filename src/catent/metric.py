@@ -142,8 +142,8 @@ class AxiomCheck(_Value):
     of the comparison in ``lhs``/``rhs``.
     """
 
-    _fields = _compared = ("name", "instances", "nonvacuous", "violations",
-                           "worst_slack", "witness", "lhs", "rhs")
+    _fields = ("name", "instances", "nonvacuous", "violations",
+               "worst_slack", "witness", "lhs", "rhs")
 
     def __init__(self, name: str, instances: int, nonvacuous: int, violations: int,
                  worst_slack: float, witness: tuple[str, ...] | None,
@@ -165,7 +165,7 @@ class AxiomCheck(_Value):
 class AxiomReport(_Value):
     """Bundle of axiom checks with a single overall verdict."""
 
-    _fields = _compared = ("checks",)
+    _fields = ("checks",)
 
     def __init__(self, checks: tuple[AxiomCheck, ...]):
         _set(self, "checks", checks)

@@ -23,8 +23,8 @@ of two columns is computed once per dataset (``induced_partition``).
 
 Every value class of catent is a plain class on the immutable base
 ``_Value``: the constructor sets each field once, assigning or deleting
-one raises ``AttributeError``, and equality, hash and repr follow a
-fixed tuple of the fields.
+one raises ``AttributeError``, and equality, hash and repr follow the
+fields a class names once, in ``_fields``.
 
 Contingency cells are keyed by integer arithmetic.  A partition caches
 its codes ``packed`` into one integer, row r's code in field r; for two
@@ -98,9 +98,9 @@ _set = object.__setattr__
 
 
 class _Value:
-    """Immutable value base.  A subclass names in ``_fields`` the fields its
-    repr shows, in order, and in ``_compared`` those that equality and the
-    hash take as one tuple; an instance equals only its own class's."""
+    """Immutable value base.  A subclass names its fields in ``_fields``, in
+    order: the repr shows them, and equality and the hash take them as one
+    tuple; an instance equals only its own class's."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -109,7 +109,7 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._compared)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -146,13 +146,16 @@ class CategoricalVariable(_Value):
     """
 
     # ``alphabet``: the distinct labels in first-occurrence order
-    _fields = _compared = ("name", "labels")
+    _fields = ("name", "labels")
 
     def __init__(self, name: str, labels: tuple[Label, ...]):
         labels = tuple(labels)
         if not labels:
             raise StructuralError(f"variable {name!r} has no rows")
-        alphabet = tuple(dict.fromkeys(labels))
+        try:
+            alphabet = tuple(dict.fromkeys(labels))
+        except RecursionError:  # equal but distinct labels, nested too deep to compare
+            raise StructuralError(f"variable {name!r}: labels nested too deep") from None
         # strings are NFC-normalised so visually identical labels compare equal:
         # each distinct non-NFC string once, then the rows through that map
         nfc = {lab: unicodedata.normalize("NFC", lab) for lab in alphabet
@@ -183,7 +186,7 @@ class Dataset(_Value):
     when all rows weigh ``1 / scale``.
     """
 
-    _fields = _compared = ("columns", "row_weights")
+    _fields = ("columns", "row_weights")
 
     def __init__(self, columns: Mapping[str, CategoricalVariable],
                  row_weights: tuple[Fraction, ...]):
@@ -360,7 +363,7 @@ class ContingencyTable(_Value):
     the whole grid sums to one.
     """
 
-    _fields = _compared = ("row_alphabet", "col_alphabet", "counts")
+    _fields = ("row_alphabet", "col_alphabet", "counts")
 
     def __init__(self, row_alphabet: tuple[Label, ...], col_alphabet: tuple[Label, ...],
                  counts: tuple[tuple[Fraction, ...], ...]):

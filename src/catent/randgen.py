@@ -90,7 +90,7 @@ class GenConfig(_Value):
     rows = (2, 12)
     alphabet_size = (1, 4)
     correlation_mode = "arbitrary"
-    _fields = _compared = ("seed", "rows", "alphabet_size", "correlation_mode")
+    _fields = ("seed", "rows", "alphabet_size", "correlation_mode")
 
     def __init__(self, seed: int = seed, rows: tuple[int, int] = rows,
                  alphabet_size: tuple[int, int] = alphabet_size,

@@ -405,6 +405,15 @@ class TestMonoidLaws:
         assert peak < 8 * 2**20
 
 
+    def test_joins_each_stored_pair_once(self, monkeypatch):
+        data = gen_dataset(GenConfig(seed=3), columns=5)
+        joins = _counting(monkeypatch, algebra, "join")
+        check_monoid_laws(data)
+        # 25 ordered pairs kept in the operand store, two associativity joins
+        # for each of the 125 triples, and one identity join per column
+        assert len(joins) == 25 + 2 * 125 + 5
+
+
 class TestSharedWork:
     """The validators share every distinct join, distance and relabeled copy
     within one call, with every field of the report, floats bit for bit, as

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import importlib
 import io
 import itertools
@@ -679,6 +680,28 @@ class TestWideKeyStdout:
     ], ids=["check-monoid", "check-lemma2", "check-metric"])
     def test_stdout_is_pinned(self, capsys, argv, code, pinned):
         assert run_cli(capsys, *argv) == (code, pinned, "")
+
+
+class TestStdoutDigests:
+    # the sha256 of stdout, with the exit code, on runs too long to pin as text:
+    # three-way cell keys at 16 384 rows, re-packed keys on a wide alphabet, the
+    # default lemma2 population, and a 10-column monoid run whose 100 ordered
+    # pairs per dataset overflow the operand store
+    @pytest.mark.parametrize("argv, digest", [
+        (["check-lemma2", "--random", "1", "--rows", "16384", "16384", "--columns", "8"],
+         "0d2f3db9bf65fc9a2c2e1f4f13a38adc4fd6e7d6b8123c8d376c3fd2c024be50"),
+        (["check-lemma2", "--random", "100", "--rows", "12", "12", "--columns", "4",
+          "--alphabet", "8", "12"],
+         "552ddd0aeed2f4e574d54442240b1c440c1d27315e6114055c50e637e98a8e69"),
+        (["check-lemma2", "--random", "200", "--columns", "5"],
+         "77aa141591ac2ee473a77b5a1094538939fbf456bd03e596187763d17880457f"),
+        (["check-monoid", "--random", "20", "--columns", "10"],
+         "136eeec34d81314bfb31098314368d6c7ce48855ffd515db43dc8f6f6f97ba93"),
+    ], ids=["lemma2-16384-rows", "lemma2-wide-alphabet", "lemma2-random-200",
+            "monoid-random-20-columns-10"])
+    def test_stdout_digest_is_pinned(self, capsys, argv, digest):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, digest, "")
 
 
 class TestCheckLemma2:

@@ -11,7 +11,9 @@ contractivity checker is also run, through a patched
 ``catent.algebra.partition_distance``, on distances whose verdicts are
 known both ways: the joint is not contractive for the entropy gap
 ``|H(x) - H(y)|``, and it is for the Rajski distance and the variation
-of information (Meila 2007; Vinh, Epps & Bailey 2010).
+of information (Meila 2007; Vinh, Epps & Bailey 2010).  The Rajski
+distance ``D`` bounds the SU-distance both ways, ``d <= D <= 2d``, with a
+negative control at each end.
 """
 
 import functools
@@ -25,6 +27,7 @@ from catent.algebra import check_contractivity
 from catent.entropy import TOLERANCE, conditional_entropy, entropy, mutual_information
 from catent.metric import check_distance_axioms, distance_matrix, partition_distance
 from catent.model import Dataset, canonical_classes, join
+from catent.randgen import GenConfig, gen_dataset
 
 import oracle
 
@@ -70,6 +73,13 @@ def variation_of_information(x, y) -> float:
 
 def entropy_gap(x, y) -> float:
     return abs(entropy(x) - entropy(y))
+
+
+def sandwich_misses(pairs, low: float, high: float) -> int:
+    """How many partition pairs break ``low * d <= D <= high * d`` by more
+    than ``TOLERANCE``, with ``d = 1 - SU`` and ``D`` the Rajski distance."""
+    return sum(not low * d - TOLERANCE <= big <= high * d + TOLERANCE
+               for d, big in ((partition_distance(x, y), rajski(x, y)) for x, y in pairs))
 
 
 class TestPi3Validators:
@@ -218,3 +228,47 @@ class TestRelaxedTriangle:
         assert want_worst == pytest.approx(-1 / 150, abs=oracle.FROZEN_TOL)
         for value in self.witness_slack(1.49):
             assert value == pytest.approx(-1 / 150, abs=oracle.FROZEN_TOL)
+
+
+class TestRajskiSandwich:
+    """With ``V = H(x|y) + H(y|x)``, ``d = V / (H(x) + H(y))`` and the Rajski
+    distance is ``D = V / H(x*y)``.  ``max(H(x), H(y)) <= H(x*y) <= H(x) +
+    H(y)`` gives ``d <= D <= 2d``, so the metric ``D`` (Rajski 1961) metrizes
+    the topology of ``d`` on the quotient.  Both factors are tight: ``D = d``
+    on an independent pair, and ``D / d`` nears 2 on the nondiscreteness
+    pairs as the rows grow."""
+
+    PI5 = (4, 2, 1, 1, 1)  # weights (4/9, 2/9, 1/9, 1/9, 1/9)
+
+    @pytest.mark.parametrize("n, repeats", [
+        (3, None), (4, None), (5, None),
+        (3, TestWeightedUniverses.PI3), (4, TestWeightedUniverses.PI4), (5, PI5),
+    ], ids=["pi3", "pi4", "pi5", "pi3-weighted", "pi4-weighted", "pi5-weighted"])
+    def test_holds_on_every_ordered_pair(self, n, repeats):
+        parts = canonical_classes(lattice(n, repeats)).values()
+        assert sandwich_misses(itertools.product(parts, repeat=2), 1.0, 2.0) == 0
+
+    def test_holds_on_every_column_pair_of_the_acceptance_seeds(self):
+        misses = 0
+        for seed in range(1000):
+            data = gen_dataset(GenConfig(seed=seed), columns=seed % 4 + 2)
+            pairs = itertools.combinations(canonical_classes(data).values(), 2)
+            misses += sandwich_misses(pairs, 1.0, 2.0)
+        assert misses == 0
+
+    def test_factor_below_two_fails_on_the_256_row_demo_pair(self):
+        # the columns of nondiscreteness_demo at 256 rows: D / d is 1.9361
+        data = Dataset.from_columns({
+            "first_half": ["in" if r < 128 else "out" for r in range(256)],
+            "half_plus_one": ["in" if r < 129 else "out" for r in range(256)],
+        })
+        pair = tuple(canonical_classes(data).values())
+        assert rajski(*pair) / partition_distance(*pair) == pytest.approx(1.9361, abs=1e-4)
+        assert sandwich_misses([pair], 1.0, 2.0) == 0
+        assert sandwich_misses([pair], 1.0, 1.9) == 1
+
+    def test_factor_above_one_fails_on_an_independent_pair(self):
+        parts = canonical_classes(lattice(4))
+        pair = parts["01|23"], parts["02|13"]  # independent, so D = d = 1
+        assert sandwich_misses([pair], 1.0, 2.0) == 0
+        assert sandwich_misses([pair], 1.01, 2.0) == 1

@@ -673,9 +673,21 @@ class TestLabelSerialisation:
         deep = "x"
         for _ in range(1200):
             deep = (deep, "y")
-        data = Dataset.from_columns({"a": [deep, "z"]})
+        data = Dataset.from_columns({"a": [deep, "z", deep]})  # one object on two rows
         back = load_csv(io.StringIO(save_csv(data)))
-        assert back["a"].labels == ("(" * 1200 + "x" + ",y)" * 1200, "z")
+        text = "(" * 1200 + "x" + ",y)" * 1200
+        assert back["a"].labels == (text, "z", text)
+
+    def test_equal_deep_labels_refuse_with_a_structural_error(self):
+        # equal but distinct tuples: telling them apart recurses once per level
+        def deep(n):
+            label = "x"
+            for _ in range(n):
+                label = (label, "y")
+            return label
+
+        with pytest.raises(StructuralError, match="nested too deep"):
+            CategoricalVariable("a", (deep(1200), deep(1200)))
 
     def test_malformed_rejected(self):
         for bad in ("(a,b", "a)b", "(a,b))", "a\\"):
