@@ -19,17 +19,21 @@ is at least ``H(x) + H(z)`` and at least ``H(y) + H(w)``, so ``d(x*y, z*w)
 
 The law checkers below test the monoid laws exactly (induced-partition
 equality; no tolerance) and contractivity numerically, on the columns'
-partitions.  Each check computes each distinct join, distance and
-relabeled column once; ``_operands`` bounds the joins it keeps.
+partitions.  Each check computes each distinct distance and relabeled
+column once.  A join of two columns comes from ``catent.model.join``,
+which keeps the last ``MAX_STORED_JOINS`` (64) of them process-wide, keyed
+by the dataset and the ordered pair of names: the checks and the
+per-triple conditional-entropy laws share them, ``x*y`` and ``y*x`` stay
+two computations, and a sampled run over many columns holds at most 64.
+After a check, up to 64 joins of the last datasets stay referenced until
+evicted (see ``catent.model``).
 """
 
 import functools
-from typing import Callable, Mapping
 
 from .model import (
     CategoricalVariable,
     Dataset,
-    Partition,
     StructuralError,
     canonical_classes,
     induced_partition,
@@ -38,7 +42,6 @@ from .model import (
 )
 from .entropy import TOLERANCE
 from .metric import (
-    EXHAUSTIVE_LIMIT,
     AxiomReport,
     _Gauge,
     _report,
@@ -100,16 +103,6 @@ def relabel(var: CategoricalVariable) -> CategoricalVariable:
     return CategoricalVariable(var.name + "'", tuple(rename[l] for l in var.labels))
 
 
-def _operands(parts: Mapping[str, Partition]) -> Callable:
-    """A validator's operand store: a column name maps to its partition in
-    ``parts``, and a pair of names to the join of their partitions.  A join
-    holds a code per row, so only the last ``EXHAUSTIVE_LIMIT ** 2`` are
-    kept: room for every ordered pair of an exhaustive run, and a bound on
-    the memory of a sampled run over many columns."""
-    pair_join = functools.lru_cache(EXHAUSTIVE_LIMIT**2)(lambda a, b: join(parts[a], parts[b]))
-    return lambda key: parts[key] if key in parts else pair_join(*key)
-
-
 def check_monoid_laws(
     dataset: Dataset,
     triples: int | None = None,
@@ -132,7 +125,6 @@ def check_monoid_laws(
     """
     triple_list = instances(dataset.names, 3, triples, seed)
     parts = canonical_classes(dataset)
-    operand = _operands(parts)
     const = trivial_partition(dataset)
     copy = functools.cache(lambda name: relabel(dataset[name]))
 
@@ -146,15 +138,15 @@ def check_monoid_laws(
         return 0.0 if equal else float("-inf")
 
     for nx, ny, nz in triple_list:
-        left = join(operand((nx, ny)), parts[nz])
-        right = join(parts[nx], operand((ny, nz)))
+        left = join(join(parts[nx], parts[ny]), parts[nz])
+        right = join(parts[nx], join(parts[ny], parts[nz]))
         g_assoc.add(verdict(left == right), (nx, ny, nz))
     # each pair and each single in the order the triples first name it
-    for pair in dict.fromkeys((nx, ny) for nx, ny, _ in triple_list):
-        xy = operand(pair)
-        g_commut.add(verdict(xy == operand(pair[::-1])), pair)
-        relabeled = joint(*map(copy, pair), dataset)
-        g_well.add(verdict(induced_partition(relabeled, dataset) == xy), pair)
+    for nx, ny in dict.fromkeys((nx, ny) for nx, ny, _ in triple_list):
+        xy = join(parts[nx], parts[ny])
+        g_commut.add(verdict(xy == join(parts[ny], parts[nx])), (nx, ny))
+        relabeled = joint(copy(nx), copy(ny), dataset)
+        g_well.add(verdict(induced_partition(relabeled, dataset) == xy), (nx, ny))
     for nx in dict.fromkeys(nx for nx, _, _ in triple_list):
         g_ident.add(verdict(join(parts[nx], const) == parts[nx]), (nx,))
 
@@ -173,7 +165,10 @@ def check_contractivity(
     both orders.
     """
     quad_list = instances(dataset.names, 4, quadruples, seed)
-    operand = _operands(canonical_classes(dataset))
+    parts = canonical_classes(dataset)
+
+    def operand(a):  # a column name, or the ordered pair naming a join
+        return parts[a] if a.__class__ is str else join(parts[a[0]], parts[a[1]])
 
     def canonical(a):  # a column name, or the sorted pair naming a join
         return a if a.__class__ is str or a[0] <= a[1] else (a[1], a[0])

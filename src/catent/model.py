@@ -20,6 +20,14 @@ stored on the instance without a lock.  A dataset builds each column's
 partition once, and those partitions share one table of conditional
 entropies keyed by the ordered pair of column names, so each ``H(x | y)``
 of two columns is computed once per dataset (``induced_partition``).
+The join of two such partitions is built once as well, but a dataset
+does not keep it: ``join`` keeps the last ``MAX_STORED_JOINS`` (64) joins
+of two columns in one process-wide store, keyed by the dataset and the
+ordered pair of names, and builds every other join afresh.  Its one cost
+is memory: after a call, up to 64 joins of the last datasets stay
+referenced until evicted, each with 8 bytes a row for its codes and, once
+read, up to 4 more for its packed codes (at 65 536 rows, 64 joins held
+42 MB after a sampled monoid check).
 
 Every value class of catent is a plain class on the immutable base
 ``_Value``: the constructor sets each field once, assigning or deleting
@@ -41,6 +49,7 @@ import math
 import operator
 import sys
 import unicodedata
+from _thread import allocate_lock  # threading's lock, without importing threading
 from array import array
 # CPython-private but always exported: the C helper from _collections, else a
 # pure-Python fallback in collections/__init__.py; Counter.update calls it too
@@ -453,9 +462,40 @@ def cell_counts(p: Partition, q: Partition) -> dict[tuple[int, int], int]:
     return {divmod(key, q.n_blocks): n for key, n in cells.items()}
 
 
+# the joins of two columns of one dataset, least recently used first, keyed by
+# the id of the dataset's pair table and the ordered pair of names; an entry
+# holds that table, so no other table takes its id while the entry lives
+MAX_STORED_JOINS = 64
+_joins: dict[tuple, tuple[dict, Partition]] = {}
+_joins_lock = allocate_lock()
+
+
 def join(p: Partition, q: Partition) -> Partition:
     """Coarsest common refinement: blocks are the nonempty pairwise
-    intersections of blocks of ``p`` and ``q``."""
+    intersections of blocks of ``p`` and ``q``.
+
+    The join of two columns of one dataset (both partitions from its
+    ``induced_partition``) is built once and kept in one process-wide
+    store of the last ``MAX_STORED_JOINS``, keyed by the dataset and the
+    ordered pair of names; every other join is built afresh."""
+    pairs = p._pairs
+    if pairs is None or pairs is not q._pairs:
+        return _join(p, q)
+    key = id(pairs), p._name, q._name
+    with _joins_lock:
+        entry = _joins.pop(key, None)
+        if entry is not None:
+            _joins[key] = entry  # now the most recently used
+            return entry[1]
+    joined = _join(p, q)
+    with _joins_lock:
+        _joins[key] = pairs, joined
+        if len(_joins) > MAX_STORED_JOINS:
+            del _joins[next(iter(_joins))]
+    return joined
+
+
+def _join(p: Partition, q: Partition) -> Partition:
     keys = cell_keys(p, q)
     cells = _tally(keys, p.multiplicities)
     index = {key: i for i, key in enumerate(cells)}

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 
-from catent import algebra, metric
+from catent import algebra, metric, model
 from catent.algebra import (
     are_indiscernible,
     check_contractivity,
@@ -16,7 +16,7 @@ from catent.algebra import (
     joint,
     relabel,
 )
-from catent.entropy import TOLERANCE
+from catent.entropy import TOLERANCE, check_conditional_entropy_laws
 from catent.ingest import load_csv, save_csv
 from catent.metric import instances, partition_distance
 from catent.model import (
@@ -48,7 +48,7 @@ def acceptance_population():
 def one_sided_joint(monkeypatch):
     """Patch ``catent.algebra.joint`` so that the joint of two different
     columns carries only the left operand's labels, and ``catent.algebra.join``
-    (which the validators' operand store joins pairs with), so that the join
+    (which the validators join pairs with), so that the join
     of two different partitions is the left one: commutativity breaks, while
     associativity, identity and well-definedness still hold."""
     real_joint, real_join = algebra.joint, algebra.join
@@ -407,9 +407,9 @@ class TestMonoidLaws:
 
     def test_joins_each_stored_pair_once(self, monkeypatch):
         data = gen_dataset(GenConfig(seed=3), columns=5)
-        joins = _counting(monkeypatch, algebra, "join")
+        joins = _counting(monkeypatch, model, "_join")
         check_monoid_laws(data)
-        # 25 ordered pairs kept in the operand store, two associativity joins
+        # 25 ordered pairs kept in the join store, two associativity joins
         # for each of the 125 triples, and one identity join per column
         assert len(joins) == 25 + 2 * 125 + 5
 
@@ -439,16 +439,36 @@ class TestSharedWork:
     def test_commuted_joins_share_one_distance(self, monkeypatch):
         data = gen_dataset(GenConfig(seed=3), columns=5)
         distances = _counting(monkeypatch, algebra, "partition_distance")
-        joins = _counting(monkeypatch, algebra, "join")
+        joins = _counting(monkeypatch, model, "_join")
         check_contractivity(data)
         # 15 column pairs, and 160 of the 325 unordered pairs of ordered joins
         # (15 joins, one per unordered column pair, each order included)
         assert (len(distances), len(joins)) == (175, 15)
 
     def test_a_sampled_ten_column_run_builds_each_join_once(self, monkeypatch, wide):
-        joins = _counting(monkeypatch, algebra, "join")
+        joins = _counting(monkeypatch, model, "_join")
         check_contractivity(wide, quadruples=1000, seed=3)
         assert len(joins) <= 10 * 11 // 2
+
+    def test_the_per_triple_laws_build_each_ordered_pair_once(self, monkeypatch):
+        data = gen_dataset(GenConfig(seed=3), columns=5)
+        parts = [induced_partition(data[nm], data) for nm in data.names]
+        joins = _counting(monkeypatch, model, "_join")
+        for x, y, z in itertools.product(parts, repeat=3):
+            check_conditional_entropy_laws(x, y, z)
+        # x v y, x v z and y v z of 125 triples name the 25 ordered pairs
+        assert len(joins) == 25
+
+    def test_the_validators_share_their_column_pair_joins(self, monkeypatch):
+        data = gen_dataset(GenConfig(seed=3), columns=5)
+        parts = [induced_partition(data[nm], data) for nm in data.names]
+        joins = _counting(monkeypatch, model, "_join")
+        check_monoid_laws(data)
+        check_contractivity(data)
+        for x, y, z in itertools.product(parts, repeat=3):
+            check_conditional_entropy_laws(x, y, z)
+        # the monoid check builds all 25 pair joins; the others only read them
+        assert len(joins) == 25 + 2 * 125 + 5
 
     def test_monoid_relabels_each_column_once(self, monkeypatch):
         data = gen_dataset(GenConfig(seed=3), columns=5)

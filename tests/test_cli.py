@@ -685,8 +685,9 @@ class TestWideKeyStdout:
 class TestStdoutDigests:
     # the sha256 of stdout, with the exit code, on runs too long to pin as text:
     # three-way cell keys at 16 384 rows, re-packed keys on a wide alphabet, the
-    # default lemma2 population, and a 10-column monoid run whose 100 ordered
-    # pairs per dataset overflow the operand store
+    # default lemma2 population, a 10-column monoid run whose 100 ordered
+    # pairs per dataset overflow the join store, and the population-shaped
+    # monoid run whose monoid and contractivity checks share their joins
     @pytest.mark.parametrize("argv, digest", [
         (["check-lemma2", "--random", "1", "--rows", "16384", "16384", "--columns", "8"],
          "0d2f3db9bf65fc9a2c2e1f4f13a38adc4fd6e7d6b8123c8d376c3fd2c024be50"),
@@ -697,8 +698,10 @@ class TestStdoutDigests:
          "77aa141591ac2ee473a77b5a1094538939fbf456bd03e596187763d17880457f"),
         (["check-monoid", "--random", "20", "--columns", "10"],
          "136eeec34d81314bfb31098314368d6c7ce48855ffd515db43dc8f6f6f97ba93"),
+        (["check-monoid", "--random", "200", "--columns", "5"],
+         "e1dcfd342c461efd0894c4eadf7ddcf3b3c3d39a03043b9d12d9ea4670796464"),
     ], ids=["lemma2-16384-rows", "lemma2-wide-alphabet", "lemma2-random-200",
-            "monoid-random-20-columns-10"])
+            "monoid-random-20-columns-10", "monoid-random-200"])
     def test_stdout_digest_is_pinned(self, capsys, argv, digest):
         code, out, err = run_cli(capsys, *argv)
         assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, digest, "")

@@ -2,6 +2,8 @@ import gc
 import io
 import itertools
 import math
+import sys
+import threading
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from catent.algebra import check_contractivity, check_monoid_laws, joint, relabel
 from catent.entropy import conditional_entropy
 from catent.ingest import load_csv, save_csv
-from catent.metric import check_entropy_laws
+from catent.metric import EXHAUSTIVE_LIMIT, check_entropy_laws
 from catent import model
 from catent.model import (
     CategoricalVariable,
@@ -310,6 +312,111 @@ class TestJoin:
         if len(parts) == 3:
             r = parts[2]
             assert join(join(p, q), r) == join(p, join(q, r))
+
+
+def _bits(p: Partition) -> tuple:
+    return p.codes, p.counts, p.scale, p.multiplicities
+
+
+class TestJoinStore:
+    """The join of two columns of one dataset is built once and kept in one
+    process-wide store of the last ``MAX_STORED_JOINS``, keyed by the dataset
+    and the ordered pair of names; every other join is built afresh."""
+
+    def test_the_bound_is_every_ordered_pair_of_an_exhaustive_run(self):
+        assert model.MAX_STORED_JOINS == EXHAUSTIVE_LIMIT**2 == 64
+
+    def test_the_two_orders_are_two_joins(self):
+        d = Dataset.from_columns({"a": ["x", "y", "x", "y"], "b": ["p", "p", "q", "q"]})
+        a, b = induced_partition(d["a"], d), induced_partition(d["b"], d)
+        ab, ba = join(a, b), join(b, a)
+        assert ab is not ba and ab == ba
+        assert join(a, b) is ab and join(b, a) is ba
+
+    def test_same_named_datasets_never_share_a_join(self):
+        d = Dataset.from_columns({"a": ["x", "y", "x", "y"], "b": ["p", "p", "q", "q"]})
+        e = Dataset.from_columns({"a": ["x", "x", "y", "y"], "b": ["p", "p", "p", "p"]})
+        for _ in range(2):
+            dj = join(induced_partition(d["a"], d), induced_partition(d["b"], d))
+            ej = join(induced_partition(e["a"], e), induced_partition(e["b"], e))
+            assert (dj.codes, ej.codes) == ((0, 1, 2, 3), (0, 0, 1, 1))
+
+    def test_a_dead_datasets_join_never_reaches_a_new_one(self):
+        # new datasets of one shape and names, each dropped after use, so that
+        # a new one may take a dead one's memory and ids
+        for seed in range(300):
+            columns = _labels(seed)
+            names = list(columns)
+            d = Dataset.from_columns(columns)
+            x, y = induced_partition(d[names[0]], d), induced_partition(d[names[-1]], d)
+            assert _bits(join(x, y)) == _bits(model._join(x, y)), seed
+            del d, x, y
+
+    def test_a_rebuilt_dataset_gets_its_own_joins_bit_for_bit(self):
+        ds = gen_dataset(GenConfig(seed=3), columns=5)
+        twin = Dataset(ds.columns, ds.row_weights)
+        for a, b in itertools.product(ds.names, repeat=2):
+            got = join(induced_partition(ds[a], ds), induced_partition(ds[b], ds))
+            other = join(induced_partition(twin[a], twin), induced_partition(twin[b], twin))
+            assert other is not got and _bits(other) == _bits(got)
+
+    def test_only_joins_of_two_columns_are_kept(self, internship):
+        a, b = (induced_partition(internship[nm], internship) for nm in internship.names[:2])
+        stranger = CategoricalVariable(b._name, internship[b._name].labels)
+        others = [
+            lambda: join(join(a, b), a),  # a join of a join
+            lambda: join(a, trivial_partition(internship)),
+            lambda: join(induced_partition(relabel(internship[a._name]), internship), b),
+            lambda: join(a, induced_partition(stranger, internship)),  # not the column itself
+        ]
+        for make in others:
+            first, second = make(), make()
+            assert first is not second and first == second
+            assert all(entry is not first and entry is not second
+                       for _, entry in model._joins.values())
+
+    def test_a_sampled_ten_column_monoid_run_keeps_at_most_the_bound(self, monkeypatch):
+        wide = gen_dataset(GenConfig(seed=11, correlation_mode="refined"), columns=10)
+        real, sizes = model._join, []
+
+        def build(p, q):
+            sizes.append(len(model._joins))
+            return real(p, q)
+
+        monkeypatch.setattr(model, "_join", build)
+        check_monoid_laws(wide, triples=1000, seed=3)
+        sizes.append(len(model._joins))
+        assert max(sizes) <= model.MAX_STORED_JOINS == sizes[-1]
+
+    def test_four_threads_joining_four_datasets_agree_with_fresh_joins(self):
+        datasets = [gen_dataset(GenConfig(seed=s, rows=(12, 12)), columns=5)
+                    for s in (1, 5, 9, 13)]
+        start, errors, wrong = threading.Barrier(4), [], []
+
+        def work(d):
+            try:
+                parts = [induced_partition(d[nm], d) for nm in d.names]
+                start.wait()
+                # 4 x 25 ordered pairs outgrow the store, so threads evict each other
+                for _ in range(20):
+                    for x, y in itertools.product(parts, repeat=2):
+                        if _bits(join(x, y)) != _bits(model._join(x, y)):
+                            wrong.append((x._name, y._name))
+            except BaseException as exc:  # noqa: BLE001 (any failure is reported)
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(d,)) for d in datasets]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so that they interleave
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == [] and wrong == []
+        assert len(model._joins) <= model.MAX_STORED_JOINS
 
 
 class TestRowUniverses:
