@@ -478,8 +478,11 @@ def nondiscreteness_demo(steps: int = 11) -> list[tuple[float, float]]:
     uniform rows and two indicator columns: membership in the first
     ``n/2`` rows versus the first ``n/2 + 1`` rows.  The columns induce
     different partitions, so the distance is strictly positive, yet it
-    shrinks without bound as ``n`` grows: no ball of positive radius
-    isolates a point, so the induced topology is not discrete.
+    shrinks without bound as ``n`` grows.  Over one nonatomic space, such
+    as ``[0, 1)`` with Lebesgue measure, the ``n`` rows are ``n`` equal
+    intervals and the columns are the indicators of ``[0, 1/2)`` and
+    ``[0, 1/2 + 1/n)``: no ball of positive radius isolates a point, so the
+    topology is not discrete.  Within one finite Pi_n every point is isolated.
 
     Returns ``(1/n, distance)`` pairs in generation order.  ``steps``
     must lie in ``1..MAX_DEMO_STEPS``.

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -682,12 +683,25 @@ class TestWideKeyStdout:
         assert run_cli(capsys, *argv) == (code, pinned, "")
 
 
+def write_tall_csv(path: Path) -> str:
+    # 4 096 rows x 10 columns, column i with i % 8 + 1 symbols (c0 and c8 constant)
+    rng = random.Random(0)
+    ks = [i % 8 + 1 for i in range(10)]
+    rows = [[f"s{rng.randrange(k)}" for k in ks] for _ in range(4096)]
+    path.write_text("\n".join(",".join(row) for row in [[f"c{i}" for i in range(10)], *rows])
+                    + "\n", encoding="utf-8")
+    return str(path)
+
+
 class TestStdoutDigests:
     # the sha256 of stdout, with the exit code, on runs too long to pin as text:
     # three-way cell keys at 16 384 rows, re-packed keys on a wide alphabet, the
     # default lemma2 population, a 10-column monoid run whose 100 ordered
-    # pairs per dataset overflow the join store, and the population-shaped
-    # monoid run whose monoid and contractivity checks share their joins
+    # pairs per dataset overflow the join store, the population-shaped
+    # monoid run whose monoid and contractivity checks share their joins, and
+    # two runs whose conditional entropies count cells from block bitmasks: a
+    # tall few-symbol table, and the demo's datasets of 4 to 4 096 rows, which
+    # cross the bitmask route's row bound
     @pytest.mark.parametrize("argv, digest", [
         (["check-lemma2", "--random", "1", "--rows", "16384", "16384", "--columns", "8"],
          "0d2f3db9bf65fc9a2c2e1f4f13a38adc4fd6e7d6b8123c8d376c3fd2c024be50"),
@@ -700,9 +714,15 @@ class TestStdoutDigests:
          "136eeec34d81314bfb31098314368d6c7ce48855ffd515db43dc8f6f6f97ba93"),
         (["check-monoid", "--random", "200", "--columns", "5"],
          "e1dcfd342c461efd0894c4eadf7ddcf3b3c3d39a03043b9d12d9ea4670796464"),
+        (["dist", "--full", "TALL_CSV"],
+         "9b35fc4120f2907e5961e9f76ac881d3e68ac2650b0c0c6ba01be40fab13ebc9"),
+        (["demo-nondiscrete", "--steps", "11", "--full"],
+         "f0a3099244737a57bdaab6d68ec3132abc1a9aac1901de77b88722b07074d536"),
     ], ids=["lemma2-16384-rows", "lemma2-wide-alphabet", "lemma2-random-200",
-            "monoid-random-20-columns-10", "monoid-random-200"])
-    def test_stdout_digest_is_pinned(self, capsys, argv, digest):
+            "monoid-random-20-columns-10", "monoid-random-200", "dist-tall-4096-rows",
+            "demo-nondiscrete-11-steps"])
+    def test_stdout_digest_is_pinned(self, capsys, tmp_path, argv, digest):
+        argv = [write_tall_csv(tmp_path / "tall.csv") if a == "TALL_CSV" else a for a in argv]
         code, out, err = run_cli(capsys, *argv)
         assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, digest, "")
 

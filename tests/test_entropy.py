@@ -1,10 +1,14 @@
 import importlib
 import itertools
 import math
+import random
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catent.entropy import (
     TOLERANCE,
@@ -29,6 +33,10 @@ from catent.randgen import GenConfig, gen_dataset
 
 import oracle
 import strategies
+
+ROOT = Path(__file__).resolve().parents[1]
+# the package re-exports the function ``entropy`` under the module's name
+KERNELS = importlib.import_module("catent.entropy")
 
 
 def parts(dataset, *names):
@@ -386,3 +394,140 @@ class TestRouteIndependence:
                 oracle.internship_column(a), oracle.internship_column(b)
             )
             assert conditional_entropy(ps[a], ps[b]) == pytest.approx(want, abs=oracle.FROZEN_TOL)
+
+
+def blocked(rows: int, *ks: int, weights=None) -> Dataset:
+    """Columns c0, c1, ... with exactly ``ks[i]`` blocks each (when rows
+    reach the product of the ``ks``): row r's codes are the digits of r."""
+    columns, step = {}, 1
+    for i, k in enumerate(ks):
+        columns[f"c{i}"] = [r // step % k for r in range(rows)]
+        step *= k
+    return Dataset.from_columns(columns, weights)
+
+
+def tally(x, y) -> float:
+    """``H(x | y)`` by the tally kernel: the cost rule refuses the masks."""
+    with mock.patch.object(KERNELS, "_masks_pay", lambda x, y: False):
+        return KERNELS._conditional_entropy(x, y)
+
+
+class TestMaskRoute:
+    """``H(x | y)`` from block bitmasks (``Partition.masks``) is the tally's
+    float, bit for bit, and the cost rule sends only tall, few-block,
+    unweighted pairs there."""
+
+    @given(st.integers(32, 2000), st.integers(1, 12), st.integers(1, 12),
+           st.integers(0, 2 ** 32), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_both_kernels_give_the_same_float(self, rows, kx, ky, seed, skewed):
+        rng = random.Random(seed)
+        draw = (lambda k: int(rng.random() ** 3 * k)) if skewed else rng.randrange
+        d = Dataset.from_columns({"x": [draw(kx) for _ in range(rows)],
+                                  "y": [draw(ky) for _ in range(rows)]})
+        x, y = parts(d, "x", "y")
+        for a, b in ((x, y), (y, x), (x, x)):
+            assert KERNELS._from_masks(a, b) == tally(a, b)
+
+    def test_masks_hold_each_blocks_rows(self):
+        (p,) = parts(Dataset.from_columns({"a": ["u", "v", "u", "w", "u"]}), "a")
+        assert p.masks == (0b10101, 0b00010, 0b01000)
+        assert [m.bit_count() for m in p.masks] == list(p.counts)
+
+    def test_constant_column_and_self(self):
+        d = blocked(128, 4, 1)
+        a, c = parts(d, "c0", "c1")
+        assert KERNELS._masks_pay(c, a) and KERNELS._masks_pay(a, a)
+        assert conditional_entropy(a, a) == conditional_entropy(c, a) == 0.0
+        assert conditional_entropy(a, c) == entropy(a) == 2.0
+        for x, y in ((a, a), (c, a), (a, c), (c, c)):
+            assert KERNELS._from_masks(x, y) == tally(x, y)
+
+    @pytest.mark.parametrize("rows, kx, ky, built, takes", [
+        # 16 b <= rows, with b the blocks whose masks are not built yet
+        (32, 1, 1, False, True), (31, 1, 1, False, False),
+        # 4 kx ky <= rows
+        (576, 12, 12, False, True), (575, 12, 12, False, False),
+        # b <= 24
+        (2000, 12, 12, False, True), (2000, 12, 13, False, False),
+        # built masks cost nothing more
+        (2000, 13, 13, True, True), (675, 13, 13, True, False),
+        # fewer than 32 rows never
+        (31, 1, 1, True, False),
+    ])
+    def test_rule_bounds(self, rows, kx, ky, built, takes):
+        x, y = parts(blocked(rows, kx, ky), "c0", "c1")
+        assert (x.n_blocks, y.n_blocks) == (kx, ky)
+        if built:
+            x.masks, y.masks
+        assert KERNELS._masks_pay(x, y) is takes
+        assert ("masks" in vars(x)) is built
+        assert KERNELS._from_masks(x, y) == tally(x, y)
+
+    def test_the_rule_picks_the_kernel(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the other kernel ran")
+
+        tall = parts(blocked(1000, 8, 8), "c0", "c1")
+        small = parts(blocked(31, 1, 1), "c0", "c1")
+        for p in small:
+            p.masks  # built masks do not send fewer than 32 rows to them
+        want = tally(*tall), tally(*small)
+        with monkeypatch.context() as patched:
+            patched.setattr(KERNELS, "cell_keys", refuse)
+            assert conditional_entropy(*tall) == want[0]
+        assert all("masks" in vars(p) for p in tall)
+        monkeypatch.setattr(KERNELS, "_from_masks", refuse)
+        assert conditional_entropy(*small) == want[1] == 0.0
+
+    def test_join_operand(self):
+        a, b, c = parts(blocked(512, 2, 3, 4), "c0", "c1", "c2")
+        ab = join(a, b)
+        assert ab.n_blocks == 6 and KERNELS._masks_pay(ab, c) and KERNELS._masks_pay(c, ab)
+        for x, y in ((ab, c), (c, ab), (ab, a), (a, ab)):
+            assert KERNELS._from_masks(x, y) == tally(x, y)
+        assert conditional_entropy(a, ab) == 0.0
+
+    def test_weighted_rows_take_the_tally(self, monkeypatch):
+        # the masks count rows, not their weights: they must never see these
+        rows = 1000
+        weights = [Fraction(1 + r % 3, 2 * rows) for r in range(rows)]
+        weights[-1] += 1 - sum(weights)
+        x, y = parts(blocked(rows, 2, 2, weights=weights), "c0", "c1")
+        x.masks, y.masks
+        assert not KERNELS._masks_pay(x, y)
+        monkeypatch.setattr(KERNELS, "_from_masks", lambda x, y: math.nan)
+        assert conditional_entropy(x, y) == tally(x, y) < 1.0
+
+    @pytest.mark.parametrize("other", ["more rows", "weighted"])
+    def test_different_universes_raise(self, other):
+        (x,) = parts(blocked(1000, 2), "c0")
+        weights = None if other == "more rows" else [Fraction(2, 1001)] + [Fraction(1, 1001)] * 999
+        (y,) = parts(blocked(1000 + (other == "more rows"), 2, weights=weights), "c0")
+        assert not KERNELS._masks_pay(x, y)
+        for a, b in ((x, y), (y, x)):
+            with pytest.raises(StructuralError, match="different row universes"):
+                conditional_entropy(a, b)
+
+    def test_two_datasets_of_the_same_rows_share_a_universe(self):
+        (x,) = parts(blocked(1000, 2), "c0")
+        (y,) = parts(blocked(1000, 4), "c0")
+        assert KERNELS._masks_pay(x, y)
+        assert conditional_entropy(x, y) == tally(x, y) == 0.0
+
+    def test_benchmark_shapes(self, monkeypatch):
+        """Every table-tall pair takes the masks; no table-wide-alphabet pair
+        and no acceptance-population pair does."""
+        monkeypatch.syspath_prepend(str(ROOT / "bench"))
+        workloads = importlib.import_module("workloads")
+        for name, want in (("table-tall", True), ("table-wide-alphabet", False)):
+            rows, k = workloads.TABLE_SHAPES[name]
+            for seed in range(4):
+                d = Dataset.from_columns(workloads.gen_table(rows, k, seed))
+                ps = parts(d, *d.names)
+                assert {KERNELS._masks_pay(x, y)
+                        for x, y in itertools.permutations(ps, 2)} == {want}
+        for s in range(0, 1000, 37):
+            d = gen_dataset(GenConfig(seed=s), columns=s % 4 + 2)
+            ps = parts(d, *d.names)
+            assert not any(KERNELS._masks_pay(x, y) for x, y in itertools.product(ps, repeat=2))

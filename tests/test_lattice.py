@@ -272,3 +272,19 @@ class TestRajskiSandwich:
         pair = parts["01|23"], parts["02|13"]  # independent, so D = d = 1
         assert sandwich_misses([pair], 1.0, 2.0) == 0
         assert sandwich_misses([pair], 1.01, 2.0) == 1
+
+
+class TestFiniteUniversesAreDiscrete:
+    """The nondiscreteness demo's claim needs one nonatomic space, where the
+    n-row datasets are partitions into n equal intervals.  Within one
+    finite Pi_n every point is isolated: its distances to the other
+    partitions have a positive minimum."""
+
+    @pytest.mark.parametrize("n, smallest", [
+        (3, 0.2663), (4, 0.1429), (5, 0.0943), (6, 0.0689),
+    ], ids=["pi3", "pi4", "pi5", "pi6"])
+    def test_smallest_positive_distance(self, n, smallest):
+        matrix = distance_matrix(lattice(n))
+        off_diagonal = [v for i, row in enumerate(matrix.values)
+                        for j, v in enumerate(row) if i != j]
+        assert min(off_diagonal) == pytest.approx(smallest, abs=5e-5)
