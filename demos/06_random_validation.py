@@ -11,7 +11,7 @@ package's central empirical finding in one table:
 * the triangle inequality for d = 1 - SU: fails on a solid fraction of
   datasets, so d is a semimetric, not a metric.
 
-Run:  python3 demos/06_random_validation.py   (about ten seconds)
+Run:  python3 demos/06_random_validation.py   (about three seconds)
 """
 
 from collections import Counter

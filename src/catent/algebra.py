@@ -8,25 +8,17 @@ SU-distance:
 
     d(x * y, z * w)  <=  d(x, z) + d(y, w)
 
-so joining is continuous in the metric of ``catent.metric``.  Proof: the
-variation of information ``V(a,b) = H(a|b) + H(b|a)`` (Meila 2007) gives
-``d(a,b) = V(a,b) / (H(a) + H(b))`` (both 0 for two constants).  The
-chain rule and "conditioning reduces entropy" give ``H(x*y | z*w) <=
-H(x | z*w) + H(y | x*z*w) <= H(x|z) + H(y|w)``, and the same with the
-sides swapped, so ``V(x*y, z*w) <= V(x,z) + V(y,w)``.  ``H(x*y) + H(z*w)``
-is at least ``H(x) + H(z)`` and at least ``H(y) + H(w)``, so ``d(x*y, z*w)
-<= V(x,z) / (H(x) + H(z)) + V(y,w) / (H(y) + H(w)) = d(x,z) + d(y,w)``.
+so joining is continuous in the metric of ``catent.metric``; the README
+proves it, for ``d`` and for the variation of information and the Rajski
+distance (Meila 2007).
 
 The law checkers below test the monoid laws exactly (induced-partition
 equality; no tolerance) and contractivity numerically, on the columns'
 partitions.  Each check computes each distinct distance and relabeled
-column once.  A join of two columns comes from ``catent.model.join``,
-which keeps the last ``MAX_STORED_JOINS`` (64) of them process-wide, keyed
-by the dataset and the ordered pair of names: the checks and the
-per-triple conditional-entropy laws share them, ``x*y`` and ``y*x`` stay
-two computations, and a sampled run over many columns holds at most 64.
-After a check, up to 64 joins of the last datasets stay referenced until
-evicted (see ``catent.model``).
+column once.  Joins of two columns come from the process-wide store of
+``catent.model.join`` (its docstring states the policy): the checks and
+the per-triple conditional-entropy laws share them, and ``x*y`` and
+``y*x`` stay two computations.
 """
 
 import functools

@@ -18,8 +18,9 @@ columns of equal entropy and their join; 3/2 is measured, not proved.
 Many datasets, including the bundled one, satisfy the triangle
 inequality exhaustively; ``check_distance_axioms`` reports faithfully
 either way.  (Contractivity of the joint operation, proved
-independently of the triangle inequality, is unaffected: see
-``catent.algebra``.)
+independently of the triangle inequality in the README, is unaffected.)
+Entropy is continuous in d: ``|H(x) - H(y)| = |H(x|y) - H(y|x)| <=
+d(x, y) * (H(x) + H(y))``, with equality when x is a function of y.
 
 Every validator checks ordered tuples of column names, enumerated by
 ``instances``: with no sample size given and at most ``EXHAUSTIVE_LIMIT``

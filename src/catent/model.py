@@ -21,13 +21,9 @@ partition once, and those partitions share one table of conditional
 entropies keyed by the ordered pair of column names, so each ``H(x | y)``
 of two columns is computed once per dataset (``induced_partition``).
 The join of two such partitions is built once as well, but a dataset
-does not keep it: ``join`` keeps the last ``MAX_STORED_JOINS`` (64) joins
-of two columns in one process-wide store, keyed by the dataset and the
-ordered pair of names, and builds every other join afresh.  Its one cost
-is memory: after a call, up to 64 joins of the last datasets stay
-referenced until evicted, each with 8 bytes a row for its codes and, once
-read, up to 4 more for its packed codes (at 65 536 rows, 64 joins held
-42 MB after a sampled monoid check).
+does not keep it: ``join`` keeps it in one process-wide store of at most
+``MAX_STORED_JOINS`` (64); its docstring states the store's policy and
+cost.
 
 Every value class of catent is a plain class on the immutable base
 ``_Value``: the constructor sets each field once, assigning or deleting
@@ -477,9 +473,9 @@ def cell_counts(p: Partition, q: Partition) -> dict[tuple[int, int], int]:
     return {divmod(key, q.n_blocks): n for key, n in cells.items()}
 
 
-# the joins of two columns of one dataset, least recently used first, keyed by
-# the id of the dataset's pair table and the ordered pair of names; an entry
-# holds that table, so no other table takes its id while the entry lives
+# the joins of two columns of one dataset (policy: ``join``), keyed by the id
+# of the dataset's pair table and the ordered pair of names; an entry holds
+# that table, so no other table takes its id while the entry lives
 MAX_STORED_JOINS = 64
 _joins: dict[tuple, tuple[dict, Partition]] = {}
 _joins_lock = allocate_lock()
@@ -491,17 +487,20 @@ def join(p: Partition, q: Partition) -> Partition:
 
     The join of two columns of one dataset (both partitions from its
     ``induced_partition``) is built once and kept in one process-wide
-    store of the last ``MAX_STORED_JOINS``, keyed by the dataset and the
-    ordered pair of names; every other join is built afresh."""
+    store, keyed by the dataset and the ordered pair of names; every other
+    join is built afresh.  A hit is one dict read, without a lock; a build
+    takes the lock to insert and, past ``MAX_STORED_JOINS``, to evict the
+    oldest build, however recently read.  The cost is memory: up to 64
+    joins stay referenced after a call, each with 8 bytes a row for its
+    codes and, once read, up to 4 for its packed codes (42 MB at 65 536
+    rows after a sampled monoid check)."""
     pairs = p._pairs
     if pairs is None or pairs is not q._pairs:
         return _join(p, q)
     key = id(pairs), p._name, q._name
-    with _joins_lock:
-        entry = _joins.pop(key, None)
-        if entry is not None:
-            _joins[key] = entry  # now the most recently used
-            return entry[1]
+    entry = _joins.get(key)
+    if entry is not None:
+        return entry[1]
     joined = _join(p, q)
     with _joins_lock:
         _joins[key] = pairs, joined

@@ -7,13 +7,14 @@ quasi-metrics), and the joint stays contractive; the oracle in ``tests/oracle.py
 recomputes every tally from label strings.  Both lattices are checked on
 uniform rows and on fixed non-uniform weights, which the oracle reads as
 the uniform expansion (row r repeated ``repeats[r]`` times).  The
-contractivity checker is also run, through a patched
-``catent.algebra.partition_distance``, on distances whose verdicts are
-known both ways: the joint is not contractive for the entropy gap
-``|H(x) - H(y)|``, and it is for the Rajski distance and the variation
-of information (Meila 2007; Vinh, Epps & Bailey 2010).  The Rajski
-distance ``D`` bounds the SU-distance both ways, ``d <= D <= 2d``, with a
-negative control at each end.
+contractivity checker is also run over every quadruple of Pi_3 and Pi_4,
+through a patched ``catent.algebra.partition_distance``, on distances
+whose verdicts are known both ways: the joint is not contractive for the
+entropy gap ``|H(x) - H(y)|``, and it is for the Rajski distance and the
+variation of information (Meila 2007; Vinh, Epps & Bailey 2010).  The
+Rajski distance ``D`` bounds the SU-distance both ways, ``d <= D <= 2d``,
+with a negative control at each end, and entropy is continuous in ``d``:
+``|H(x) - H(y)| <= d(x,y) * (H(x) + H(y))``, tight on nested pairs.
 """
 
 import functools
@@ -21,8 +22,9 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
 
-from catent import algebra
+from catent import algebra, metric
 from catent.algebra import check_contractivity
 from catent.entropy import TOLERANCE, conditional_entropy, entropy, mutual_information
 from catent.metric import check_distance_axioms, distance_matrix, partition_distance
@@ -30,6 +32,7 @@ from catent.model import Dataset, canonical_classes, join
 from catent.randgen import GenConfig, gen_dataset
 
 import oracle
+import strategies
 
 
 def lattice(n: int, repeats=None) -> Dataset:
@@ -80,6 +83,21 @@ def sandwich_misses(pairs, low: float, high: float) -> int:
     than ``TOLERANCE``, with ``d = 1 - SU`` and ``D`` the Rajski distance."""
     return sum(not low * d - TOLERANCE <= big <= high * d + TOLERANCE
                for d, big in ((partition_distance(x, y), rajski(x, y)) for x, y in pairs))
+
+
+def acceptance_classes():
+    """The column partitions of each acceptance-population dataset, seeds 0-999."""
+    for seed in range(1000):
+        data = gen_dataset(GenConfig(seed=seed), columns=seed % 4 + 2)
+        yield list(canonical_classes(data).values())
+
+
+def continuity_misses(pairs, factor: float) -> list:
+    """The partition pairs that break ``|H(x) - H(y)| <= factor * d(x,y) *
+    (H(x) + H(y))`` by more than ``TOLERANCE``, with ``d = 1 - SU``."""
+    return [(x, y) for x, y in pairs
+            if abs(entropy(x) - entropy(y))
+            > factor * partition_distance(x, y) * (entropy(x) + entropy(y)) + TOLERANCE]
 
 
 class TestPi3Validators:
@@ -184,6 +202,30 @@ class TestContractivityControls:
             assert check.witness == ("01|2", "01|2", "01|2", "02|1")
             assert tuple(map(oracle.block_name, want_witness)) == check.witness
 
+    @pytest.mark.parametrize("distance, oracle_distance, violations", [
+        pytest.param(None, oracle.oracle_distance, 0, id="su-distance"),
+        pytest.param(entropy_gap, oracle.oracle_entropy_gap, 3780, id="entropy-gap"),
+        pytest.param(rajski, oracle.oracle_rajski_distance, 0, id="rajski"),
+        pytest.param(variation_of_information, oracle.oracle_variation_of_information, 0,
+                     id="variation-of-information"),
+    ])
+    def test_every_quadruple_of_pi4_matches_the_oracle(self, monkeypatch, distance,
+                                                       oracle_distance, violations):
+        # Pi_4 has 15 columns: past EXHAUSTIVE_LIMIT, so lift it for this call
+        monkeypatch.setattr(metric, "EXHAUSTIVE_LIMIT", 16)
+        if distance is not None:
+            monkeypatch.setattr(algebra, "partition_distance", distance)
+        check = check_contractivity(lattice(4)).check("contractivity")
+        want, want_worst, want_witness = oracle.lattice_tally(
+            4, 4, oracle.contractivity_slack, oracle_distance)
+        assert (check.instances, check.violations) == (15**4, violations)
+        assert want == violations
+        assert check.worst_slack == pytest.approx(want_worst, abs=oracle.FROZEN_TOL)
+        if violations:
+            assert check.worst_slack == pytest.approx(-1.0, abs=oracle.FROZEN_TOL)
+            assert check.witness == ("01|23", "01|23", "01|23", "02|13")
+            assert tuple(map(oracle.block_name, want_witness)) == check.witness
+
 
 class TestRelaxedTriangle:
     """``1 - SU`` fails the triangle inequality but, as measured on Pi_3 to
@@ -203,6 +245,24 @@ class TestRelaxedTriangle:
         distance = oracle.oracle_distance if repeats is None else expanded_distance(repeats)
         assert kernel_tally(n, 3, slack, repeats)[0] == 0
         assert oracle.lattice_tally(n, 3, slack, distance)[0] == 0
+
+    def test_three_halves_holds_on_every_triple_of_the_acceptance_seeds(self):
+        slack, triples, misses = oracle.relaxed_triangle_slack(1.5), 0, 0
+        for parts in acceptance_classes():
+            d = functools.cache(partition_distance)
+            for t in itertools.product(parts, repeat=3):
+                triples += 1
+                misses += slack(d, join, *t) < -TOLERANCE
+        assert (triples, misses) == (56_000, 0)
+
+    @given(strategies.weighted_datasets(max_rows=6))
+    def test_three_halves_holds_on_weighted_universes(self, drawn):
+        weighted, expanded = drawn
+        slack = oracle.relaxed_triangle_slack(1.5)
+        parts = canonical_classes(weighted)
+        for t in itertools.product(parts, repeat=3):
+            assert slack(partition_distance, join, *map(parts.get, t)) >= -TOLERANCE
+            assert slack(oracle.oracle_distance, None, *map(expanded.get, t)) >= -TOLERANCE
 
     @classmethod
     def witness_slack(cls, factor: float) -> tuple[float, float]:
@@ -250,11 +310,14 @@ class TestRajskiSandwich:
 
     def test_holds_on_every_column_pair_of_the_acceptance_seeds(self):
         misses = 0
-        for seed in range(1000):
-            data = gen_dataset(GenConfig(seed=seed), columns=seed % 4 + 2)
-            pairs = itertools.combinations(canonical_classes(data).values(), 2)
-            misses += sandwich_misses(pairs, 1.0, 2.0)
+        for parts in acceptance_classes():
+            misses += sandwich_misses(itertools.combinations(parts, 2), 1.0, 2.0)
         assert misses == 0
+
+    @given(strategies.weighted_datasets(max_rows=6))
+    def test_holds_on_weighted_universes(self, drawn):
+        parts = canonical_classes(drawn[0]).values()
+        assert sandwich_misses(itertools.product(parts, repeat=2), 1.0, 2.0) == 0
 
     def test_factor_below_two_fails_on_the_256_row_demo_pair(self):
         # the columns of nondiscreteness_demo at 256 rows: D / d is 1.9361
@@ -272,6 +335,30 @@ class TestRajskiSandwich:
         pair = parts["01|23"], parts["02|13"]  # independent, so D = d = 1
         assert sandwich_misses([pair], 1.0, 2.0) == 0
         assert sandwich_misses([pair], 1.01, 2.0) == 1
+
+
+class TestEntropyIsContinuous:
+    """``|H(x) - H(y)| = |H(x|y) - H(y|x)| <= V(x,y) = d(x,y) * (H(x) + H(y))``,
+    so entropy is continuous in ``d``.  Equality holds when one partition is
+    coarser than the other, so a factor below 1 fails on every strictly
+    nested pair."""
+
+    @pytest.mark.parametrize("n, nested", [(3, 14), (4, 90), (5, 612)],
+                             ids=["pi3", "pi4", "pi5"])
+    def test_holds_on_every_ordered_pair(self, n, nested):
+        pairs = list(itertools.product(canonical_classes(lattice(n)).values(), repeat=2))
+        assert continuity_misses(pairs, 1.0) == []
+        strictly_nested = [(x, y) for x, y in pairs if x != y and (
+            oracle.oracle_is_coarser(x.codes, y.codes)
+            or oracle.oracle_is_coarser(y.codes, x.codes))]
+        assert len(strictly_nested) == nested
+        assert continuity_misses(pairs, 0.99) == strictly_nested
+
+    def test_holds_on_every_column_pair_of_the_acceptance_seeds(self):
+        pairs = [pair for parts in acceptance_classes()
+                 for pair in itertools.product(parts, repeat=2)]
+        assert len(pairs) == 13_500
+        assert continuity_misses(pairs, 1.0) == []
 
 
 class TestFiniteUniversesAreDiscrete:

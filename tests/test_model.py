@@ -320,8 +320,9 @@ def _bits(p: Partition) -> tuple:
 
 class TestJoinStore:
     """The join of two columns of one dataset is built once and kept in one
-    process-wide store of the last ``MAX_STORED_JOINS``, keyed by the dataset
-    and the ordered pair of names; every other join is built afresh."""
+    process-wide store of at most ``MAX_STORED_JOINS``, keyed by the dataset
+    and the ordered pair of names; every other join is built afresh.  A hit
+    takes no lock, and a full store evicts its oldest build."""
 
     def test_the_bound_is_every_ordered_pair_of_an_exhaustive_run(self):
         assert model.MAX_STORED_JOINS == EXHAUSTIVE_LIMIT**2 == 64
@@ -387,6 +388,46 @@ class TestJoinStore:
         check_monoid_laws(wide, triples=1000, seed=3)
         sizes.append(len(model._joins))
         assert max(sizes) <= model.MAX_STORED_JOINS == sizes[-1]
+
+    def test_a_hit_takes_no_lock(self, monkeypatch):
+        class CountingLock:
+            acquired = 0
+
+            def __enter__(self):
+                CountingLock.acquired += 1
+
+            def __exit__(self, *exc):
+                return False
+
+        monkeypatch.setattr(model, "_joins_lock", CountingLock())
+        d = gen_dataset(GenConfig(seed=7), columns=3)
+        x, y = (induced_partition(d[nm], d) for nm in d.names[:2])
+        first = join(x, y)
+        built = CountingLock.acquired
+        assert built >= 1  # the build inserted under the lock
+        assert join(x, y) is first and CountingLock.acquired == built
+
+    def test_the_oldest_build_is_evicted_first(self, monkeypatch):
+        monkeypatch.setattr(model, "_joins", {})
+        d = gen_dataset(GenConfig(seed=5), columns=9)
+        parts = [induced_partition(d[nm], d) for nm in d.names]
+        pairs = list(itertools.product(parts, repeat=2))  # 81 ordered pairs
+        real, builds = model._join, []
+
+        def build(p, q):
+            builds.append((p._name, q._name))
+            return real(p, q)
+
+        monkeypatch.setattr(model, "_join", build)
+        for x, y in pairs[:model.MAX_STORED_JOINS]:
+            join(x, y)
+        assert len(model._joins) == model.MAX_STORED_JOINS == len(builds)
+        oldest = pairs[0]
+        join(*oldest)  # read again: a hit, which keeps no recency
+        join(*pairs[model.MAX_STORED_JOINS])  # one more build evicts the oldest
+        del builds[:]
+        join(*oldest)
+        assert builds == [(oldest[0]._name, oldest[1]._name)]
 
     def test_four_threads_joining_four_datasets_agree_with_fresh_joins(self):
         datasets = [gen_dataset(GenConfig(seed=s, rows=(12, 12)), columns=5)
