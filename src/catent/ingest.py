@@ -122,22 +122,31 @@ def load_csv(source: Source, spec: CsvSpec = CsvSpec()) -> Dataset:
 
 
 def save_csv(dataset: Dataset, *, spec: CsvSpec = CsvSpec()) -> str:
-    """A dataset as CSV text.
+    """A dataset as CSV text, byte for byte what ``csv.writer`` writes.
 
     One record per row; weights are not serialised (CSV datasets are
     uniform by construction).  String labels are written verbatim;
-    composite labels (joint columns) via ``format_label``.
+    composite labels (joint columns) via ``format_label``.  Each distinct
+    label of a column is quoted once, by ``csv.writer``'s QUOTE_MINIMAL
+    rule: a text holding the delimiter, ``"``, ``\r`` or ``\n`` is wrapped
+    in ``"`` with its ``"`` doubled.
     """
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, delimiter=spec.delimiter)
-    writer.writerow(dataset.names)
+    special = frozenset(spec.delimiter + '"\r\n')
+    empty = '""' if len(dataset.names) == 1 else ""  # csv.writer writes no empty record
+
+    def field(text: str) -> str:
+        if special.isdisjoint(text):
+            return text or empty
+        return '"' + text.replace('"', '""') + '"'
+
     cols = []
     for var in dataset.columns.values():
-        # each distinct non-string label is formatted once
-        formatted = {lab: format_label(lab) for lab in var.alphabet if not isinstance(lab, str)}
-        cols.append(map(formatted.get, var.labels, var.labels) if formatted else var.labels)
-    writer.writerows(zip(*cols))
-    return buffer.getvalue()
+        texts = {lab: field(lab if isinstance(lab, str) else format_label(lab))
+                 for lab in var.alphabet}
+        cols.append(map(texts.__getitem__, var.labels))
+    records = [spec.delimiter.join(map(field, dataset.names)),
+               *map(spec.delimiter.join, zip(*cols))]
+    return "\r\n".join(records) + "\r\n"
 
 
 # ---------------------------------------------------------------------------

@@ -3,17 +3,22 @@
 Everything here deliberately avoids the library's code paths: oracles
 work on raw label sequences with ``collections.Counter``, plain ``sum``
 instead of ``math.fsum``, and the posterior-weighted route to the
-conditional entropy rather than the block-intersection route.  The
-frozen constants were evaluated with 40-60 digit ``mpmath`` arithmetic
-from the closed-form sums over the verified data tables, before the
-implementation existed.
+conditional entropy rather than the block-intersection route, and CSV
+text comes from ``csv.writer``.  The frozen constants were evaluated
+with 40-60 digit ``mpmath`` arithmetic from the closed-form sums over
+the verified data tables, before the implementation existed.
 """
 
+import csv
 import functools
+import io
 import itertools
 import math
 from collections import Counter
 from fractions import Fraction
+
+from catent.ingest import CsvSpec
+from catent.model import format_label
 
 # ---------------------------------------------------------------------------
 # reference transcription of the bundled internship dataset (20 rows)
@@ -265,6 +270,20 @@ def _parse_label(text: str, pos: int):
         chars.append(text[pos])
         pos += 1
     return "".join(chars), pos
+
+
+def oracle_save_csv(dataset, spec=CsvSpec()) -> str:
+    """What ``catent.ingest.save_csv`` must return: every record through
+    ``csv.writer``, non-string labels through ``format_label``."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, delimiter=spec.delimiter)
+    writer.writerow(dataset.names)
+    cols = []
+    for var in dataset.columns.values():
+        formatted = {lab: format_label(lab) for lab in var.alphabet if not isinstance(lab, str)}
+        cols.append(map(formatted.get, var.labels, var.labels) if formatted else var.labels)
+    writer.writerows(zip(*cols))
+    return buffer.getvalue()
 
 
 # ---------------------------------------------------------------------------

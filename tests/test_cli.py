@@ -701,7 +701,8 @@ class TestStdoutDigests:
     # monoid run whose monoid and contractivity checks share their joins, and
     # two runs whose conditional entropies count cells from block bitmasks: a
     # tall few-symbol table, and the demo's datasets of 4 to 4 096 rows, which
-    # cross the bitmask route's row bound
+    # cross the bitmask route's row bound; and the CSV that joint writes for that
+    # tall table, whose joint labels hold the delimiter, so every joint field is quoted
     @pytest.mark.parametrize("argv, digest", [
         (["check-lemma2", "--random", "1", "--rows", "16384", "16384", "--columns", "8"],
          "0d2f3db9bf65fc9a2c2e1f4f13a38adc4fd6e7d6b8123c8d376c3fd2c024be50"),
@@ -716,11 +717,15 @@ class TestStdoutDigests:
          "e1dcfd342c461efd0894c4eadf7ddcf3b3c3d39a03043b9d12d9ea4670796464"),
         (["dist", "--full", "TALL_CSV"],
          "9b35fc4120f2907e5961e9f76ac881d3e68ac2650b0c0c6ba01be40fab13ebc9"),
+        (["joint", "TALL_CSV", "c1", "c2"],
+         "3cd8ebef155509521f59da8e5e8722acad36e6041163649eeef8decfaa5a844d"),
+        (["joint", "TALL_CSV", "c1", "c2", "c3"],
+         "4d9f2f0bb2ae9dce3cb9718b06ae0b64595aa9b54291a82a7b5a8515a37bb590"),
         (["demo-nondiscrete", "--steps", "11", "--full"],
          "f0a3099244737a57bdaab6d68ec3132abc1a9aac1901de77b88722b07074d536"),
     ], ids=["lemma2-16384-rows", "lemma2-wide-alphabet", "lemma2-random-200",
             "monoid-random-20-columns-10", "monoid-random-200", "dist-tall-4096-rows",
-            "demo-nondiscrete-11-steps"])
+            "joint-tall-4096-rows", "joint-of-three-tall-4096-rows", "demo-nondiscrete-11-steps"])
     def test_stdout_digest_is_pinned(self, capsys, tmp_path, argv, digest):
         argv = [write_tall_csv(tmp_path / "tall.csv") if a == "TALL_CSV" else a for a in argv]
         code, out, err = run_cli(capsys, *argv)

@@ -6,6 +6,8 @@ import unicodedata
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from catent.algebra import joint
 from catent.ingest import (
@@ -25,10 +27,39 @@ from catent.metric import DistanceMatrix, distance_matrix
 from catent.model import CatentError, Dataset
 
 import oracle
+import strategies
+
+# every single character but the quote and the line breaks, over the ASCII
+# range and a few beyond it
+DELIMITERS = [ch for ch in map(chr, [*range(128), 0x85, 0xE9, 0x2028, 0x1F600])
+              if ch not in '"\r\n']
 
 
 def csv_dataset(text: str, **spec_kw):
     return load_csv(io.StringIO(text), CsvSpec(**spec_kw))
+
+
+@st.composite
+def csv_cases(draw):
+    """A dataset of 1-3 columns and 1-6 rows, sometimes with the joint of two
+    of its columns appended, and a delimiter.  Labels and names mix the
+    shared label strategies with short texts of the characters that
+    ``csv.writer`` quotes on, the empty text included."""
+    delimiter = draw(st.sampled_from(DELIMITERS))
+    quotable = st.text(st.sampled_from([delimiter, '"', "\r", "\n", " ", "x"]), max_size=4)
+    labels = st.one_of(strategies.tuple_labels(), quotable)
+    names = draw(st.lists(st.one_of(strategies.scalar_labels, quotable),
+                          min_size=1, max_size=3, unique=True))
+    n = draw(st.integers(1, 6))
+    columns = {}
+    for name in names:
+        alphabet = draw(st.lists(labels, min_size=1, max_size=3))
+        columns[name] = [draw(st.sampled_from(alphabet)) for _ in range(n)]
+    d = Dataset.from_columns(columns)
+    if len(names) > 1 and draw(st.booleans()):
+        a, b = draw(st.permutations(names))[:2]
+        d = d.with_column(joint(d[a], d[b], d))
+    return d, CsvSpec(delimiter=delimiter)
 
 
 class TestLoadCsv:
@@ -116,9 +147,7 @@ class TestLoadCsv:
             CsvSpec(delimiter=delimiter)
 
     def test_every_other_single_character_delimiter_round_trips(self):
-        for ch in map(chr, [*range(128), 0x85, 0xE9, 0x2028, 0x1F600]):
-            if ch in '"\r\n':
-                continue
+        for ch in DELIMITERS:
             spec = CsvSpec(delimiter=ch)
             d = Dataset.from_columns({
                 f"a{ch}b": [f"x{ch}y", 'q"r', "line\nbreak", " s ", "t"],
@@ -164,6 +193,12 @@ class TestSaveCsv:
     def test_quoting_survives_roundtrip(self):
         d = csv_dataset('a\n"x,y"\nz\n')
         assert csv_dataset(save_csv(d))["a"].labels == ("x,y", "z")
+
+    @given(csv_cases())
+    @example((Dataset.from_columns({"a": ["", "x", ""]}), CsvSpec()))  # one empty field
+    def test_text_is_what_csv_writer_writes(self, case):
+        d, spec = case
+        assert save_csv(d, spec=spec) == oracle.oracle_save_csv(d, spec)
 
 
 def row_by_row(text: str, delimiter: str = ",", drop_na: bool = False):
@@ -244,6 +279,32 @@ class TestIngestBytes:
             'x\\y,"p,q",(r),"((x\\\\y,p\\,q),\\(r\\))"\r\n'
             '"s,t",u(,)v,"((s\\,t,u\\(),\\)v)"\r\n'
             'x\\y,"p,q",)v,"((x\\\\y,p\\,q),\\)v)"\r\n'
+        )
+
+    def test_one_empty_field_is_written_quoted(self):
+        # csv.writer writes no empty record: a lone empty field becomes ""
+        d = Dataset.from_columns({"a": ["", "x", ""]})
+        assert save_csv(d) == 'a\r\n""\r\nx\r\n""\r\n'
+        assert save_csv(Dataset.from_columns({"": ["x"]})) == '""\r\nx\r\n'
+
+    def test_empty_field_beside_another_stays_empty(self):
+        d = Dataset.from_columns({"a": ["", "x"], "b": ["p", ""]})
+        assert save_csv(d) == "a,b\r\n,p\r\nx,\r\n"
+
+    def test_header_names_are_quoted_like_labels(self):
+        # each of the first three names holds one character that forces quoting: the
+        # delimiter, " and \r; a comma is plain text under another delimiter
+        d = Dataset.from_columns({"x;y": ["1"], 'q"r': ["2"], "c\rd": ["3"], "e,f": ["4"]})
+        assert save_csv(d, spec=CsvSpec(delimiter=";")) == (
+            '"x;y";"q""r";"c\rd";e,f\r\n1;2;3;4\r\n'
+        )
+
+    def test_joint_label_text_holding_the_delimiter_is_quoted(self):
+        d = Dataset.from_columns({"a": ["x", "y"], "b": ["p", "p"]})
+        d = d.with_column(joint(d["a"], d["b"], d))
+        assert save_csv(d) == 'a,b,(a*b)\r\nx,p,"(x,p)"\r\ny,p,"(y,p)"\r\n'
+        assert save_csv(d, spec=CsvSpec(delimiter=";")) == (
+            "a;b;(a*b)\r\nx;p;(x,p)\r\ny;p;(y,p)\r\n"
         )
 
     def test_fixtures_load_as_row_by_row(self):
