@@ -149,14 +149,9 @@ class AxiomCheck(_Value):
     def __init__(self, name: str, instances: int, nonvacuous: int, violations: int,
                  worst_slack: float, witness: tuple[str, ...] | None,
                  lhs: float | None, rhs: float | None):
-        _set(self, "name", name)
-        _set(self, "instances", instances)
-        _set(self, "nonvacuous", nonvacuous)
-        _set(self, "violations", violations)
-        _set(self, "worst_slack", worst_slack)
-        _set(self, "witness", witness)
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
+        values = name, instances, nonvacuous, violations, worst_slack, witness, lhs, rhs
+        for field, value in zip(self._fields, values):
+            _set(self, field, value)
 
     @property
     def passed(self) -> bool:

@@ -7,12 +7,12 @@ structure downstream is computed from partitions, never from labels.
 
 The engine counts in integers: a dataset turns its ``Fraction`` row
 weights once into integer multiplicities over their common denominator,
-and a partition is one block code per row plus an integer mass per
-block.  Partition equality, coarseness, joins and contingency cells are
-therefore exact discrete facts with no floating-point ambiguity; a
-column's class up to relabeling is its induced ``Partition``.  Exact
-``Fraction`` values remain at the API (``row_weights``,
-``Partition.block_probs``, ``Partition.signature``,
+and a partition is one block code per row, packed into one integer,
+plus an integer mass per block.  Partition equality, coarseness, joins
+and contingency cells are therefore exact discrete facts with no
+floating-point ambiguity; a column's class up to relabeling is its
+induced ``Partition``.  Exact ``Fraction`` values remain at the API
+(``row_weights``, ``Partition.block_probs``, ``Partition.signature``,
 ``ContingencyTable``).  Floats enter only when logarithms are taken: in
 ``catent.entropy`` and in ``Partition.entropy``.  A partition's cached
 attributes, ``entropy`` among them, are computed on first read and
@@ -23,34 +23,31 @@ of two columns is computed once per dataset (``induced_partition``).
 The join of two such partitions is built once as well, but a dataset
 does not keep it: ``join`` keeps it in one process-wide store of at most
 ``MAX_STORED_JOINS`` (64); its docstring states the store's policy and
-cost.
+cost (10.5 MB at 65 536 rows after a sampled monoid check).
 
 Every value class of catent is a plain class on the immutable base
 ``_Value``: the constructor sets each field once, assigning or deleting
 one raises ``AttributeError``, and equality, hash and repr follow the
 fields a class names once, in ``_fields``.
 
-Contingency cells are keyed by integer arithmetic.  A partition caches
-its codes ``packed`` into one integer, row r's code in field r; for two
-partitions on the same rows, ``packed(p) * q.n_blocks + packed(q)``
-holds row r's cell key ``p.codes[r] * q.n_blocks + q.codes[r]`` in
-field r (``cell_keys``).  Every key is below rows**2, and the field
-width follows from the row count (1 byte up to 16 rows, 2 up to 256, 4
-up to 65 536, else 8), so no field carries into the next.  Three
-partitions fold the same way into fields that hold ``k_p * k_q * k_r``
-keys (``triple_cell_keys``).  For tall, few-block pairs, ``H(x | y)``
-counts its cells from cached block bitmasks instead (``masks``: bit r of a
-block's integer is set when row r is in it), one ``(q & r).bit_count()`` per
-block pair, on 32 or more unweighted rows when ``b <= 24``, ``16 b <= rows``
-and ``4 kx ky <= rows``, ``b`` the blocks without masks yet (a tally costs
-~66 ns a row, a mask ~5 ns a row, a block pair ~0.2 us).  Its terms and
-their ``math.fsum`` are the tally's, so the float is the same bit for bit;
-``cell_counts``, ``join``, ``is_coarser`` and the three-way keys tally.
+Contingency cells are keyed by integer arithmetic.  A partition stores
+its codes once, ``packed`` into one integer, row r's code in field r;
+for two partitions on the same rows,
+``packed(p) * q.n_blocks + packed(q)`` holds row r's cell key
+``p.codes[r] * q.n_blocks + q.codes[r]`` in field r (``cell_keys``).
+Every key is below rows**2, and the field width follows from the row
+count (1 byte up to 16 rows, 2 up to 256, 4 up to 65 536, else 8), so no
+field carries into the next.  Three partitions fold the same way into
+fields that hold ``k_p * k_q * k_r`` keys (``triple_cell_keys``).  For
+tall, few-block pairs, ``H(x | y)`` counts its cells from cached block
+bitmasks instead (``masks``: bit r of a block's integer is set when row
+r is in it), by the cost rule of ``catent.entropy._conditional_entropy``
+and to the same float bit for bit; ``cell_counts``, ``join``,
+``is_coarser`` and the three-way keys tally.
 """
 
 import math
 import operator
-import sys
 import unicodedata
 from _thread import allocate_lock  # threading's lock, without importing threading
 from array import array
@@ -59,6 +56,7 @@ from array import array
 from collections import _count_elements
 from fractions import Fraction
 from itertools import repeat
+from sys import byteorder
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, Sequence, Union
 
@@ -282,13 +280,14 @@ class Partition(_Value):
     Blocks are numbered in the order of their smallest row index:
     ``codes[r]`` is the number of row r's block and ``counts[b]`` the
     exact mass of block b over ``scale``, the common denominator of the
-    row weights.  ``blocks``, ``block_probs`` and ``signature`` are
-    derived views.  The weighted universe travels with the partition as
-    ``scale`` and the row ``multiplicities`` (see ``Dataset``), which fix
-    the row weights, so two partitions compare equal only when they carve
-    up the same weighted universe the same way.  Two columns of one
-    dataset are indiscernible (the same point of the quotient space)
-    exactly when their partitions are equal.  Partitions come only from
+    row weights.  The codes are stored once, packed (see ``cell_keys``);
+    ``codes``, ``blocks``, ``block_probs`` and ``signature`` are derived
+    views.  The weighted universe travels with the partition as ``scale``
+    and the row ``multiplicities`` (see ``Dataset``), which fix the row
+    weights, so two partitions compare equal only when they carve up the
+    same weighted universe the same way.  Two columns of one dataset are
+    indiscernible (the same point of the quotient space) exactly when
+    their partitions are equal.  Partitions come only from
     ``induced_partition``, ``join`` and ``trivial_partition``; calling
     ``Partition`` raises ``TypeError``.
     """
@@ -300,16 +299,21 @@ class Partition(_Value):
     def __init__(self, *args, **kwargs):
         raise TypeError("partitions come from induced_partition, join or trivial_partition")
 
-    # spelled out rather than _Value's generic key: the monoid and
-    # indiscernibility checks compare partitions once per instance
+    # spelled out rather than _Value's generic key, which would unpack codes:
+    # the monoid and indiscernibility checks compare partitions once per instance
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return ((self.codes, self.scale, self.multiplicities)
-                    == (other.codes, other.scale, other.multiplicities))
+            return ((self.packed, self.scale, self.multiplicities)
+                    == (other.packed, other.scale, other.multiplicities))
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.codes, self.scale, self.multiplicities))
+        return hash((self.packed, self.scale, self.multiplicities))
+
+    @property
+    def codes(self) -> tuple[int, ...]:
+        """Row r's block number, for every row in order, unpacked from ``packed``."""
+        return tuple(_unpack(self.packed, self.row_count, self.row_count ** 2))
 
     @_stored
     def blocks(self) -> tuple[frozenset[int], ...]:
@@ -333,15 +337,14 @@ class Partition(_Value):
         return len(self.counts)
 
     @_stored
-    def packed(self) -> int:
-        """``codes`` as one integer, row r's code in field r."""
-        return _pack(self.codes, *_field(len(self.codes) ** 2))
-
-    @_stored
     def masks(self) -> tuple[int, ...]:
         """One integer per block, bit r set when row r is in the block, from
         one ``translate`` and one base-2 parse per block; at most 256 blocks."""
-        raw = bytearray(self.codes)[::-1]  # row 0 last: the lowest bit of the parse
+        if len(self.counts) > 256:  # a field's low byte would alias block b + 256 to b
+            raise ValueError("byte must be in range(0, 256)")
+        # big-endian puts row 0's low byte last; a bytearray translates and parses faster
+        width = _field(self.row_count ** 2)[0]
+        raw = bytearray(self.packed.to_bytes(self.row_count * width, "big"))[width - 1::width]
         return tuple(int(raw.translate(b"0" * b + b"1" + b"0" * (255 - b)), 2)
                      for b in range(len(self.counts)))
 
@@ -358,20 +361,27 @@ def _field(keys: int) -> tuple[int, str]:
             else (4, "I") if keys <= 1 << 32 else (8, "Q"))
 
 
-def _pack(codes: Sequence[int], width: int, fmt: str) -> int:
-    # codes as one integer, row r's code in field r of `width` bytes
-    raw = bytes(codes) if width == 1 else array(fmt, codes)
-    return int.from_bytes(raw, sys.byteorder)
+def _pack(codes: Iterable[int], keys: int) -> int:
+    # codes as one integer, row r's code in field r, a field for keys (_field)
+    width, fmt = _field(keys)
+    return int.from_bytes(bytes(codes) if width == 1 else array(fmt, codes), byteorder)
 
 
-def _on_rows(codes: tuple[int, ...], rows, counts=None) -> Partition:
-    # first-occurrence block codes on the weighted rows of a Dataset or Partition;
-    # the one place a Partition is built, tallying the block masses unless given
+def _unpack(packed: int, rows: int, keys: int) -> Sequence[int]:
+    # the integer in field r of _pack's fields, for every row r in order
+    width, fmt = _field(keys)
+    raw = packed.to_bytes(rows * width, byteorder)
+    return raw if width == 1 else memoryview(raw).cast(fmt)
+
+
+def _on_rows(codes: Iterable[int], rows, counts=None) -> Partition:
+    # first-occurrence block codes, packed, on the weighted rows of a Dataset or Partition;
+    # the one place a Partition is built.  Without counts it tallies codes: pass a sequence
     if counts is None:
         counts = tuple(_tally(codes, rows.multiplicities).values())
     p = object.__new__(Partition)
-    vars(p).update(codes=codes, counts=counts, scale=rows.scale,
-                   multiplicities=rows.multiplicities)
+    vars(p).update(packed=_pack(codes, rows.row_count ** 2), row_count=rows.row_count,
+                   counts=counts, scale=rows.scale, multiplicities=rows.multiplicities)
     return p
 
 
@@ -387,18 +397,16 @@ class ContingencyTable(_Value):
 
     def __init__(self, row_alphabet: tuple[Label, ...], col_alphabet: tuple[Label, ...],
                  counts: tuple[tuple[Fraction, ...], ...]):
-        _set(self, "row_alphabet", row_alphabet)
-        _set(self, "col_alphabet", col_alphabet)
-        _set(self, "counts", counts)
-        if len(self.counts) != len(self.row_alphabet):
+        if len(counts) != len(row_alphabet):
             raise StructuralError("one count row per row-alphabet entry required")
-        for row in self.counts:
-            if len(row) != len(self.col_alphabet):
+        for row in counts:
+            if len(row) != len(col_alphabet):
                 raise StructuralError("one count per col-alphabet entry required")
             if any(c < 0 for c in row):
                 raise StructuralError("cell masses must be nonnegative")
-        if sum(c for row in self.counts for c in row) != 1:
+        if sum(c for row in counts for c in row) != 1:
             raise StructuralError("cell masses must sum to 1")
+        vars(self).update(row_alphabet=row_alphabet, col_alphabet=col_alphabet, counts=counts)
 
     def mass(self, row_label: Label, col_label: Label) -> Fraction:
         """Joint mass of one (row label, column label) cell."""
@@ -427,7 +435,7 @@ def induced_partition(var: CategoricalVariable, dataset: Dataset) -> Partition:
 
 def trivial_partition(dataset: Dataset) -> Partition:
     """The one-block partition: the whole sample space, probability one."""
-    return _on_rows((0,) * dataset.row_count, dataset)
+    return _on_rows((), dataset, (dataset.scale,))  # all codes 0 pack to 0, as no codes do
 
 
 def cell_keys(p: Partition, q: Partition) -> Sequence[int]:
@@ -438,10 +446,8 @@ def cell_keys(p: Partition, q: Partition) -> Sequence[int]:
     if p.scale != q.scale or (p.multiplicities is not q.multiplicities
                               and p.multiplicities != q.multiplicities):
         raise StructuralError("partitions live on different row universes")
-    rows = len(p.codes)
-    width, fmt = _field(rows * rows)
-    raw = (p.packed * len(q.counts) + q.packed).to_bytes(rows * width, sys.byteorder)
-    return raw if width == 1 else memoryview(raw).cast(fmt)
+    rows = p.row_count
+    return _unpack(p.packed * len(q.counts) + q.packed, rows, rows * rows)
 
 
 # past this many three-way cells no 8-byte field holds their keys
@@ -454,15 +460,14 @@ def triple_cell_keys(p: Partition, q: Partition, r: Partition) -> Sequence[int] 
     row-sized fields are too narrow; ``None`` past ``MAX_TRIPLE_CELLS``."""
     if any((s.scale, s.multiplicities) != (p.scale, p.multiplicities) for s in (q, r)):
         raise StructuralError("partitions live on different row universes")
-    rows, kq, kr = len(p.codes), len(q.counts), len(r.counts)
+    rows, kq, kr = p.row_count, len(q.counts), len(r.counts)
     cells = len(p.counts) * kq * kr
     if cells > MAX_TRIPLE_CELLS:
         return None
-    width, fmt = _field(max(rows * rows, cells))
-    wide = width > _field(rows * rows)[0]
-    a, b, c = (_pack(s.codes, width, fmt) if wide else s.packed for s in (p, q, r))
-    raw = ((a * kq + b) * kr + c).to_bytes(rows * width, sys.byteorder)
-    return raw if width == 1 else memoryview(raw).cast(fmt)
+    keys = max(rows * rows, cells)
+    wide = _field(keys) != _field(rows * rows)
+    a, b, c = (_pack(s.codes, keys) if wide else s.packed for s in (p, q, r))
+    return _unpack((a * kq + b) * kr + c, rows, keys)
 
 
 def cell_counts(p: Partition, q: Partition) -> dict[tuple[int, int], int]:
@@ -491,9 +496,9 @@ def join(p: Partition, q: Partition) -> Partition:
     join is built afresh.  A hit is one dict read, without a lock; a build
     takes the lock to insert and, past ``MAX_STORED_JOINS``, to evict the
     oldest build, however recently read.  The cost is memory: up to 64
-    joins stay referenced after a call, each with 8 bytes a row for its
-    codes and, once read, up to 4 for its packed codes (42 MB at 65 536
-    rows after a sampled monoid check)."""
+    joins stay referenced after a call, each with its packed codes, up to
+    4 bytes a row up to 65 536 rows (10.5 MB, 2.6 bytes a row a join, at
+    65 536 rows after a sampled monoid check)."""
     pairs = p._pairs
     if pairs is None or pairs is not q._pairs:
         return _join(p, q)
@@ -513,7 +518,7 @@ def _join(p: Partition, q: Partition) -> Partition:
     keys = cell_keys(p, q)
     cells = _tally(keys, p.multiplicities)
     index = {key: i for i, key in enumerate(cells)}
-    return _on_rows(tuple(map(index.__getitem__, keys)), p, tuple(cells.values()))
+    return _on_rows(map(index.__getitem__, keys), p, tuple(cells.values()))
 
 
 def is_coarser(p: Partition, q: Partition) -> bool:

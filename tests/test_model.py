@@ -4,6 +4,7 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -326,6 +327,26 @@ class TestJoinStore:
 
     def test_the_bound_is_every_ordered_pair_of_an_exhaustive_run(self):
         assert model.MAX_STORED_JOINS == EXHAUSTIVE_LIMIT**2 == 64
+
+    def test_stored_joins_hold_their_packed_codes_alone(self):
+        # a join keeps only its packed codes, 4 bytes a row at 4 096 rows; a
+        # codes tuple beside them (8 bytes a row) reads about 13 bytes a row
+        d = gen_dataset(GenConfig(seed=0, rows=(4096, 4096), alphabet_size=(4, 4),
+                                  correlation_mode="independent"), columns=8)
+        canonical_classes(d)
+        model._joins.clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            check_monoid_laws(d, triples=200)
+            gc.collect()
+            residue = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        stored = [entry for entry in model._joins.values() if entry[0] is d._memo[1]]
+        assert len(stored) == model.MAX_STORED_JOINS
+        assert residue / (len(stored) * d.row_count) < 6
 
     def test_the_two_orders_are_two_joins(self):
         d = Dataset.from_columns({"a": ["x", "y", "x", "y"], "b": ["p", "p", "q", "q"]})
@@ -653,15 +674,16 @@ class TestTally:
 
 class TestStoredAttributes:
     """Cached attributes are computed on first read, stored in the instance
-    dict, and read from there afterwards; the class keeps their docstrings."""
+    dict, and read from there afterwards; the class keeps their docstrings.
+    A partition's packed codes are a plain field, set at construction."""
 
     def test_a_fresh_join_stores_its_entropy_on_first_read(self):
         d = Dataset.from_columns({"a": ["x", "x", "y", "y", "x"], "b": ["p", "q", "p", "p", "q"]})
         p = join(induced_partition(d["a"], d), induced_partition(d["b"], d))
-        assert "entropy" not in vars(p) and "packed" not in vars(p)
+        assert "entropy" not in vars(p) and "packed" in vars(p)
         assert p.entropy == vars(p)["entropy"] == 0.0 - math.fsum(
             c / p.scale * math.log2(c / p.scale) for c in p.counts)
-        assert "packed" not in vars(p)
+        assert "packed" in vars(p)
         sentinel = object()
         vars(p)["entropy"] = sentinel
         assert p.entropy is sentinel  # later reads never reach the descriptor
@@ -677,8 +699,52 @@ class TestStoredAttributes:
     def test_the_class_keeps_the_docstrings(self):
         assert Partition.entropy.__doc__ == (
             "Shannon entropy in bits, ``-sum P(B) log2 P(B)``; ``+0.0`` when zero.")
-        assert Partition.packed.__doc__ == "``codes`` as one integer, row r's code in field r."
+        assert "packed" not in Partition.__dict__
         assert CategoricalVariable.codes.__doc__ == "Position of each row's label in ``alphabet``."
+
+
+class TestPackedCodes:
+    """A partition stores its codes once, packed into one integer with row
+    r's code in field r: ``codes`` unpacks them on every read, and the keys,
+    masks and blocks read the same form, at every field width (1 byte up to
+    16 rows, 2 up to 256, 4 up to 65 536, 8 above)."""
+
+    @pytest.mark.parametrize("rows", [16, 256, 1000, 65537])
+    def test_round_trip_at_every_field_width(self, rows):
+        d = Dataset.from_columns({"a": [f"s{(r * r) % 7}" for r in range(rows)],
+                                  "b": [f"t{r % 5}" for r in range(rows)]})
+        v = d["a"]
+        p, q = induced_partition(v, d), induced_partition(d["b"], d)
+        assert p.codes == v.codes == tuple(oracle.oracle_codes(v.labels))
+        assert type(p.codes) is tuple
+        assert "codes" not in vars(p)
+        recount = [set() for _ in p.counts]
+        for r, b in enumerate(v.codes):
+            recount[b].add(r)
+        assert p.blocks == tuple(map(frozenset, recount))
+        bits = ("".join("1" if r in block else "0" for r in reversed(range(rows)))
+                for block in recount)
+        assert p.masks == tuple(int(b, 2) for b in bits)
+        assert list(cell_keys(p, q)) == [a * q.n_blocks + b
+                                         for a, b in zip(v.codes, d["b"].codes)]
+
+    def test_one_stored_form_on_every_kind_of_partition(self):
+        d = Dataset.from_columns({"a": list("xxyyzx"), "b": list("pqppqq")})
+        p, q = induced_partition(d["a"], d), induced_partition(d["b"], d)
+        for part in (p, join(p, q), join(join(p, q), p), trivial_partition(d)):
+            assert "packed" in vars(part)
+            part.codes, part.blocks, part.masks, part.entropy
+            assert "codes" not in vars(part)
+        assert trivial_partition(d).packed == 0
+        assert trivial_partition(d).codes == (0,) * 6
+
+    def test_masks_refuse_more_than_256_blocks(self):
+        # a field's low byte holds code 256 as 0: the masks must not alias them
+        d = Dataset.from_columns({"a": [str(r) for r in range(300)]})
+        p = induced_partition(d["a"], d)
+        with pytest.raises(ValueError, match=r"byte must be in range\(0, 256\)"):
+            p.masks
+        assert "masks" not in vars(p)
 
 
 class TestContingency:
