@@ -81,17 +81,21 @@ def _conditional_entropy(x: Partition, y: Partition) -> Bits:
     """``H(x | y)`` with cells counted as ``(q & r).bit_count()`` of block
     bitmasks (``_from_masks``) on 32 or more unweighted rows when ``b <= 24``,
     ``16 b <= rows`` and ``4 kx ky <= rows``, ``b`` the blocks without masks
-    yet (``_masks_pay``; at 1 000 rows a tally costs 66-98 us, a mask ~5 us,
-    a block pair ~0.2 us); else, and on weighted rows, wide alphabets or two
-    universes (``cell_keys`` raises), tallied from cell keys.  Both kernels
+    yet (``_masks_pay``; a tally costs 46-50 us a pair at 1 000 rows and 8
+    symbols, a mask 3-5 us, a block pair 0.2-0.3 us); else, and on weighted
+    rows, wide alphabets or two universes (``cell_keys`` raises), tallied
+    from cell keys.  A tallied cell of mass 1 takes its term from
+    ``y.unit_terms``, the same float as ``n / scale * log2(n / m)`` at
+    ``n = 1``; on wide alphabets most cells are such (88% on a 500-row,
+    100-symbol table, where a tally costs 64-67 us a pair).  Both kernels
     ``math.fsum`` the same terms, rounded once in any order: the same float
     bit for bit."""
     if x.scale >= 32 and _masks_pay(x, y):  # the first test inline: small data pays no call
         return _from_masks(x, y)
     cells = _tally(cell_keys(x, y), x.multiplicities)
-    k, scale, marginal = y.n_blocks, x.scale, y.counts
-    terms = (n / scale * math.log2(n / marginal[key % k]) for key, n in cells.items())
-    return _clamp(-math.fsum(terms))
+    k, scale, marginal, unit, log2 = y.n_blocks, x.scale, y.counts, y.unit_terms, math.log2
+    return _clamp(-math.fsum([unit[key % k] if n == 1 else n / scale * log2(n / marginal[key % k])
+                              for key, n in cells.items()]))
 
 
 def _masks_pay(x: Partition, y: Partition) -> bool:

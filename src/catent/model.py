@@ -354,6 +354,14 @@ class Partition(_Value):
         scale = self.scale
         return 0.0 - math.fsum(c / scale * math.log2(c / scale) for c in self.counts)
 
+    @_stored
+    def unit_terms(self) -> tuple[float, ...]:
+        """Block b's term ``1 / scale * log2(1 / counts[b])`` of ``H(x | self)``
+        for a cell of mass 1 inside it; blocks of equal mass share one float."""
+        scale, log2 = self.scale, math.log2
+        by_mass = {m: 1 / scale * log2(1 / m) for m in set(self.counts)}
+        return tuple(map(by_mass.__getitem__, self.counts))
+
 
 def _field(keys: int) -> tuple[int, str]:
     # bytes and array typecode of a field that holds every integer below keys
@@ -548,7 +556,9 @@ def canonical_classes(dataset: Dataset) -> dict[str, Partition]:
 # ---------------------------------------------------------------------------
 # label serialisation
 
-_ESCAPE = str.maketrans({ch: "\\" + ch for ch in "\\,()"})
+def _escape(text: str) -> str:
+    # the backslash first, so the escapes added after it are not escaped again
+    return text.replace("\\", "\\\\").replace(",", "\\,").replace("(", "\\(").replace(")", "\\)")
 
 
 def format_label(label: Label) -> str:
@@ -561,7 +571,7 @@ def format_label(label: Label) -> str:
     explicit stack, so no depth of nesting recurses.
     """
     if not isinstance(label, tuple):
-        return str(label).translate(_ESCAPE)
+        return _escape(str(label))
     out, stack = ["("], [iter(label)]
     while stack:
         for part in stack[-1]:
@@ -571,7 +581,7 @@ def format_label(label: Label) -> str:
                 out.append("(")
                 stack.append(iter(part))
                 break
-            out.append(str(part).translate(_ESCAPE))
+            out.append(_escape(str(part)))
         else:
             stack.pop()
             out.append(")")

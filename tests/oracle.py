@@ -168,6 +168,21 @@ def oracle_cells(xs, ys, multiplicities=None) -> Counter:
     return cells
 
 
+def oracle_tally_conditional_entropy(xs, ys, multiplicities=None) -> float:
+    """``H(x | y)`` as the tally kernel's float, bit for bit: the term
+    ``n/D log2(n/m)`` of every cell of ``oracle_cells``, with ``D`` the total
+    mass and ``m`` the mass of the cell's y block, ``math.fsum``-ed, negated,
+    and snapped to +0.0 from ``[-1e-12, 0]``.  A common factor of ``n``,
+    ``m`` and ``D`` leaves every ratio the same float."""
+    cells = oracle_cells(xs, ys, multiplicities)
+    marginal: Counter = Counter()
+    for (_, b), n in cells.items():
+        marginal[b] += n
+    scale = sum(cells.values())
+    value = -math.fsum(n / scale * math.log2(n / marginal[b]) for (_, b), n in cells.items())
+    return 0.0 if -1e-12 <= value <= 0.0 else value
+
+
 def oracle_entropy_gap(xs, ys) -> float:
     """``|H(x) - H(y)|``: a pseudometric on partitions that the joint is not
     contractive for (Meila 2007)."""
@@ -270,6 +285,17 @@ def _parse_label(text: str, pos: int):
         chars.append(text[pos])
         pos += 1
     return "".join(chars), pos
+
+
+_ESCAPE = str.maketrans({ch: "\\" + ch for ch in "\\,()"})
+
+
+def oracle_format_label(label) -> str:
+    """``catent.model.format_label`` by recursion, each scalar escaped with
+    one ``str.translate`` table."""
+    if isinstance(label, tuple):
+        return "(" + ",".join(map(oracle_format_label, label)) + ")"
+    return str(label).translate(_ESCAPE)
 
 
 def oracle_save_csv(dataset, spec=CsvSpec()) -> str:

@@ -1,3 +1,4 @@
+import csv
 import functools
 import hashlib
 import importlib
@@ -693,6 +694,20 @@ def write_tall_csv(path: Path) -> str:
     return str(path)
 
 
+def write_wide_csv(path: Path) -> str:
+    # 500 rows x 10 columns of 100 symbols each, so most contingency cells of a
+    # column pair hold one row; every fifth symbol holds the escaped characters
+    # \ , ( ) and non-ASCII text
+    rng = random.Random(0)
+    symbols = [f"w{j}" if j % 5 else f"ž({j}),\\" for j in range(100)]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow([f"c{i}" for i in range(10)])
+    writer.writerows([rng.choice(symbols) for _ in range(10)] for _ in range(500))
+    path.write_text(buffer.getvalue(), encoding="utf-8")
+    return str(path)
+
+
 class TestStdoutDigests:
     # the sha256 of stdout, with the exit code, on runs too long to pin as text:
     # three-way cell keys at 16 384 rows, re-packed keys on a wide alphabet, the
@@ -701,8 +716,10 @@ class TestStdoutDigests:
     # monoid run whose monoid and contractivity checks share their joins, and
     # two runs whose conditional entropies count cells from block bitmasks: a
     # tall few-symbol table, and the demo's datasets of 4 to 4 096 rows, which
-    # cross the bitmask route's row bound; and the CSV that joint writes for that
-    # tall table, whose joint labels hold the delimiter, so every joint field is quoted
+    # cross the bitmask route's row bound; the CSV that joint writes for that
+    # tall table, whose joint labels hold the delimiter, so every joint field is
+    # quoted; and a wide 100-symbol table, whose tallied cells mostly hold one
+    # row and whose joint labels escape \ , ( ) inside their parts
     @pytest.mark.parametrize("argv, digest", [
         (["check-lemma2", "--random", "1", "--rows", "16384", "16384", "--columns", "8"],
          "0d2f3db9bf65fc9a2c2e1f4f13a38adc4fd6e7d6b8123c8d376c3fd2c024be50"),
@@ -723,11 +740,17 @@ class TestStdoutDigests:
          "4d9f2f0bb2ae9dce3cb9718b06ae0b64595aa9b54291a82a7b5a8515a37bb590"),
         (["demo-nondiscrete", "--steps", "11", "--full"],
          "f0a3099244737a57bdaab6d68ec3132abc1a9aac1901de77b88722b07074d536"),
+        (["dist", "--full", "WIDE_CSV"],
+         "a523e5c38b3271ed8b042596036dcb74cbe5efc49786c29f4cef5ac99d2d5926"),
+        (["joint", "WIDE_CSV", "c0", "c1"],
+         "b0faca2dfda1b895928bcc9727f6537272c99bde9b2260761390909eeed767cf"),
     ], ids=["lemma2-16384-rows", "lemma2-wide-alphabet", "lemma2-random-200",
             "monoid-random-20-columns-10", "monoid-random-200", "dist-tall-4096-rows",
-            "joint-tall-4096-rows", "joint-of-three-tall-4096-rows", "demo-nondiscrete-11-steps"])
+            "joint-tall-4096-rows", "joint-of-three-tall-4096-rows", "demo-nondiscrete-11-steps",
+            "dist-wide-500-rows", "joint-wide-500-rows"])
     def test_stdout_digest_is_pinned(self, capsys, tmp_path, argv, digest):
-        argv = [write_tall_csv(tmp_path / "tall.csv") if a == "TALL_CSV" else a for a in argv]
+        writers = {"TALL_CSV": write_tall_csv, "WIDE_CSV": write_wide_csv}
+        argv = [writers[a](tmp_path / "table.csv") if a in writers else a for a in argv]
         code, out, err = run_cli(capsys, *argv)
         assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, digest, "")
 

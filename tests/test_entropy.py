@@ -412,6 +412,40 @@ def tally(x, y) -> float:
         return KERNELS._conditional_entropy(x, y)
 
 
+class TestTallyKernel:
+    """The tally kernel reads a unit cell's term (a cell of integer mass 1)
+    from the conditioning partition's ``unit_terms``: the float that
+    ``n/D log2(n/m)`` gives at ``n = 1``, so every ``H(x | y)`` is the
+    ``math.fsum`` of the same terms, bit for bit."""
+
+    @given(st.integers(1, 600), st.data(), st.integers(0, 2 ** 32), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_the_float_is_the_fsum_of_the_cell_terms(self, rows, data, seed, weighted):
+        kx, ky = data.draw(st.integers(1, rows)), data.draw(st.integers(1, rows))
+        rng = random.Random(seed)
+        xs = [rng.randrange(kx) for _ in range(rows)]
+        ys = [rng.randrange(ky) for _ in range(rows)]
+        mult = [rng.randint(1, 4) for _ in range(rows)] if weighted else None
+        weights = None if mult is None else [Fraction(m, sum(mult)) for m in mult]
+        x, y = parts(Dataset.from_columns({"x": xs, "y": ys}, weights), "x", "y")
+        for a, b, pa, pb in ((xs, ys, x, y), (ys, xs, y, x), (xs, xs, x, x)):
+            want = oracle.oracle_tally_conditional_entropy(a, b, mult)
+            assert tally(pa, pb).hex() == want.hex()
+
+    def test_unit_terms_are_stored_once_and_shared_by_mass(self):
+        d = Dataset.from_columns({"x": [0, 1, 2, 3, 4, 5, 6, 7],
+                                  "y": ["a", "b", "b", "c", "a", "d", "b", "e"]})
+        x, y = parts(d, "x", "y")
+        assert y.counts == (2, 3, 1, 1, 1) and "unit_terms" not in vars(y)
+        tally(x, y)
+        assert "unit_terms" in vars(y) and "unit_terms" not in vars(x)
+        terms = y.unit_terms
+        assert terms is vars(y)["unit_terms"]
+        assert terms == tuple(1 / 8 * math.log2(1 / m) for m in y.counts)
+        assert terms[2] is terms[3] is terms[4]
+        assert len(set(map(id, terms))) == len(set(y.counts)) == 3
+
+
 class TestMaskRoute:
     """``H(x | y)`` from block bitmasks (``Partition.masks``) is the tally's
     float, bit for bit, and the cost rule sends only tall, few-block,

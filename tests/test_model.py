@@ -912,3 +912,11 @@ class TestLabelSerialisation:
     @settings(max_examples=100)
     def test_roundtrip_property(self, label):
         assert oracle.parse_label(format_label(label)) == label
+
+    @given(st.recursive(
+        st.one_of(st.integers(), st.text(st.one_of(st.sampled_from("\\,()é漢"),
+                                                   st.characters(blacklist_categories=("Cs",))))),
+        lambda parts: st.lists(parts, min_size=1, max_size=3).map(tuple), max_leaves=8))
+    @settings(max_examples=200)
+    def test_text_is_the_translate_escape(self, label):
+        assert format_label(label) == oracle.oracle_format_label(label)
