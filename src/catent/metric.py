@@ -35,7 +35,11 @@ and its witness are kept, every margin short of the tolerance counts as
 a violation, and the axiom passes when there is none.  A failed check
 therefore always carries a concrete witness reproducing the violation,
 except in ``cross_check``: it compares two routes on one given pair, so
-its checks carry no witness, only the two route values.
+its checks carry no witness, only the two route values.  The clauses of
+``check_distance_axioms`` and ``check_similarity_axioms`` only read a
+table of pair values, so each axiom scores one margin list at once, the
+witness the first smallest margin; the NaN rule is unchanged: a NaN
+margin is a violation, and takes the witness unless a violation came first.
 """
 
 import functools
@@ -221,6 +225,25 @@ class _Gauge:
             self.worst, self.witness, self.lhs, self.rhs = margin, witness, lhs, rhs
         self.violations += violated
 
+    def extend(self, margins: list[float], witnesses: Sequence, sides) -> None:
+        """``add`` over a list of margins at once: ``witnesses[i]`` names
+        ``margins[i]`` and ``sides(*witnesses[i])`` gives its ``lhs, rhs``.  A
+        list holding a NaN, which ``min`` cannot rank, goes through ``add``."""
+        t = self.threshold  # "not good", as in add, so that a NaN margin fails
+        bad = [m for m in margins if not m > t] if self.strict else [
+            m for m in margins if not m >= t]
+        if any(m != m for m in bad):
+            for margin, witness in zip(margins, witnesses):
+                self.add(margin, witness, *sides(*witness))
+            return
+        self.count += len(margins)
+        self.nonvacuous += len(margins)
+        self.violations += len(bad)
+        # any violation is below every other margin; index finds the first smallest, as add keeps
+        if margins and (worst := min(bad or margins)) < self.worst:
+            witness = witnesses[margins.index(worst)]
+            self.worst, self.witness, (self.lhs, self.rhs) = worst, witness, sides(*witness)
+
     def skip(self) -> None:
         """Count an instance whose hypothesis did not fire: it has no margin."""
         self.count += 1
@@ -343,7 +366,9 @@ def check_similarity_axioms(
     seen.update((nm, nm) for nm in names)
 
     # keyed by the ordered pair: symmetry compares two computations
-    su = functools.cache(lambda a, b: symmetric_uncertainty(parts[a], parts[b]))
+    ordered = seen | {(b, a) for a, b in seen}
+    su = {a: {b: symmetric_uncertainty(parts[a], parts[b]) for b in names if (a, b) in ordered}
+          for a in names}
 
     g_symmetry = _Gauge("symmetry", -TOLERANCE)
     g_self_nonneg = _Gauge("self_similarity_nonnegative", -TOLERANCE)
@@ -353,24 +378,23 @@ def check_similarity_axioms(
     g_max_equal = _Gauge("max_on_indiscernible", -TOLERANCE)
     g_max_only = _Gauge("max_only_on_indiscernible", TOLERANCE, strict=True)
 
-    for nm in names:
-        g_self_nonneg.add(su(nm, nm), (nm,), lhs=su(nm, nm), rhs=0.0)
-
-    for a, b in sorted(seen):
-        v = su(a, b)
-        g_range.add(min(v, 1.0 - v), (a, b), lhs=v, rhs=None)
-        g_dominance.add(su(a, a) - v, (a, b), lhs=v, rhs=su(a, a))
-        if a <= b or (b, a) not in seen:  # once per unordered pair, at its first in order
-            g_symmetry.add(-abs(v - su(b, a)), (a, b), lhs=v, rhs=su(b, a))
-        if parts[a] == parts[b]:
-            g_max_equal.add(-(1.0 - v), (a, b), lhs=v, rhs=1.0)
-        else:
-            g_max_only.add(1.0 - v, (a, b), lhs=v, rhs=1.0)
-
-    for x, y, z in triple_list:
-        lhs = su(x, y) + su(y, z)
-        rhs = su(x, z) + su(y, y)
-        g_triangle.add(rhs - lhs, (x, y, z), lhs=lhs, rhs=rhs)
+    # one margin list per clause, in instance order
+    g_self_nonneg.extend([su[a][a] for a in names], [(a,) for a in names],
+                         lambda a: (su[a][a], 0.0))
+    pairs = sorted(seen)
+    g_range.extend([min(v, 1.0 - v) for v in (su[a][b] for a, b in pairs)], pairs,
+                   lambda a, b: (su[a][b], None))
+    g_dominance.extend([su[a][a] - su[a][b] for a, b in pairs], pairs,
+                       lambda a, b: (su[a][b], su[a][a]))
+    once = [(a, b) for a, b in pairs if a <= b or (b, a) not in seen]  # per unordered pair
+    g_symmetry.extend([-abs(su[a][b] - su[b][a]) for a, b in once], once,
+                      lambda a, b: (su[a][b], su[b][a]))
+    same = {(a, b) for a, b in pairs if parts[a] == parts[b]}
+    equal, other = [p for p in pairs if p in same], [p for p in pairs if p not in same]
+    g_max_equal.extend([-(1.0 - su[a][b]) for a, b in equal], equal, lambda a, b: (su[a][b], 1.0))
+    g_max_only.extend([1.0 - su[a][b] for a, b in other], other, lambda a, b: (su[a][b], 1.0))
+    g_triangle.extend([(su[x][z] + su[y][y]) - (su[x][y] + su[y][z]) for x, y, z in triple_list],
+                      triple_list, lambda x, y, z: (su[x][y] + su[y][z], su[x][z] + su[y][y]))
 
     return _report(
         g_symmetry, g_self_nonneg, g_dominance, g_triangle, g_range, g_max_equal, g_max_only
@@ -398,8 +422,7 @@ def check_distance_axioms(
     missing = [nm for nm in names if nm not in class_keys]
     if missing:
         raise KeyError(f"no class for columns: {missing}")
-    index, rows = {nm: names.index(nm) for nm in names}, matrix.values
-    d = lambda a, b: rows[index[a]][index[b]]  # noqa: E731  (the floats of matrix.value)
+    d = {a: dict(zip(names, row)) for a, row in zip(names, matrix.values)}  # matrix.value(a, b)
 
     g_nonneg = _Gauge("nonnegativity", -TOLERANCE)
     g_bounded = _Gauge("bounded_by_one", -TOLERANCE)
@@ -409,22 +432,20 @@ def check_distance_axioms(
     g_zero_equal = _Gauge("zero_on_indiscernible", -TOLERANCE)
     g_zero_only = _Gauge("zero_only_on_indiscernible", TOLERANCE, strict=True)
 
-    for i, a in enumerate(names):
-        g_diag.add(-abs(d(a, a)), (a,), lhs=d(a, a), rhs=0.0)
-        for b in names[i + 1 :]:
-            v = d(a, b)
-            g_nonneg.add(v, (a, b), lhs=v, rhs=0.0)
-            g_bounded.add(1.0 - v, (a, b), lhs=v, rhs=1.0)
-            g_symmetry.add(-abs(v - d(b, a)), (a, b), lhs=v, rhs=d(b, a))
-            if class_keys[a] == class_keys[b]:
-                g_zero_equal.add(-v, (a, b), lhs=v, rhs=0.0)
-            else:
-                g_zero_only.add(v, (a, b), lhs=v, rhs=0.0)
-
-    for x, y, z in instances(names, 3, triples, seed):
-        lhs = d(x, z)
-        rhs = d(x, y) + d(y, z)
-        g_triangle.add(rhs - lhs, (x, y, z), lhs=lhs, rhs=rhs)
+    # one margin list per clause, in instance order
+    g_diag.extend([-abs(d[a][a]) for a in names], [(a,) for a in names], lambda a: (d[a][a], 0.0))
+    pairs = list(itertools.combinations(names, 2))
+    g_nonneg.extend([d[a][b] for a, b in pairs], pairs, lambda a, b: (d[a][b], 0.0))
+    g_bounded.extend([1.0 - d[a][b] for a, b in pairs], pairs, lambda a, b: (d[a][b], 1.0))
+    g_symmetry.extend([-abs(d[a][b] - d[b][a]) for a, b in pairs], pairs,
+                      lambda a, b: (d[a][b], d[b][a]))
+    same = {(a, b) for a, b in pairs if class_keys[a] == class_keys[b]}
+    equal, other = [p for p in pairs if p in same], [p for p in pairs if p not in same]
+    g_zero_equal.extend([-d[a][b] for a, b in equal], equal, lambda a, b: (d[a][b], 0.0))
+    g_zero_only.extend([d[a][b] for a, b in other], other, lambda a, b: (d[a][b], 0.0))
+    triple_list = instances(names, 3, triples, seed)
+    g_triangle.extend([d[x][y] + d[y][z] - d[x][z] for x, y, z in triple_list], triple_list,
+                      lambda x, y, z: (d[x][z], d[x][y] + d[y][z]))
 
     return _report(
         g_nonneg, g_bounded, g_symmetry, g_diag, g_triangle, g_zero_equal, g_zero_only

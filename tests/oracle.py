@@ -249,6 +249,100 @@ def relaxed_triangle_slack(factor: float):
 
 
 # ---------------------------------------------------------------------------
+# per-instance scoring of the two pair-table validators, one margin at a time
+
+SCORING_TOLERANCE = 1e-9  # catent.entropy.TOLERANCE, the acceptance threshold
+
+
+class OracleGauge:
+    """One axiom's tally, scored instance by instance.  A margin short of
+    ``threshold`` (with ``strict``, not above it) is a violation, and so is
+    NaN.  The first smallest margin is the witness; a NaN takes it only while
+    no violation has been seen (no comparison ranks it)."""
+
+    def __init__(self, name, threshold, strict=False):
+        self.name, self.threshold, self.strict = name, threshold, strict
+        self.count = self.violations = 0
+        self.worst, self.witness, self.lhs, self.rhs = math.inf, None, None, None
+
+    def add(self, margin, witness, lhs, rhs):
+        self.count += 1
+        if self.strict:
+            violated = not margin > self.threshold
+        else:
+            violated = not margin >= self.threshold
+        nan_first = violated and self.violations == 0 and margin != margin
+        if margin < self.worst or nan_first:
+            self.worst, self.witness, self.lhs, self.rhs = margin, witness, lhs, rhs
+        self.violations += violated
+
+    def row(self):
+        """The fields of catent's ``AxiomCheck``, in order; every instance is nonvacuous."""
+        return (self.name, self.count, self.count, self.violations,
+                self.worst, self.witness, self.lhs, self.rhs)
+
+
+def oracle_distance_checks(names, d, same, triples):
+    """``check_distance_axioms`` scored one instance at a time: ``d(a, b)``
+    reads the matrix, ``same(a, b)`` compares two columns' classes, and
+    ``triples`` are the triangle instances.  One ``row()`` per axiom."""
+    tol = SCORING_TOLERANCE
+    nonneg, bounded, symmetry, diag, triangle, zero_equal = (
+        OracleGauge(name, -tol) for name in ("nonnegativity", "bounded_by_one", "symmetry",
+                                             "zero_diagonal", "triangle_inequality",
+                                             "zero_on_indiscernible"))
+    zero_only = OracleGauge("zero_only_on_indiscernible", tol, strict=True)
+    for i, a in enumerate(names):
+        diag.add(-abs(d(a, a)), (a,), d(a, a), 0.0)
+        for b in names[i + 1:]:
+            v = d(a, b)
+            nonneg.add(v, (a, b), v, 0.0)
+            bounded.add(1.0 - v, (a, b), v, 1.0)
+            symmetry.add(-abs(v - d(b, a)), (a, b), v, d(b, a))
+            if same(a, b):
+                zero_equal.add(-v, (a, b), v, 0.0)
+            else:
+                zero_only.add(v, (a, b), v, 0.0)
+    for x, y, z in triples:
+        lhs, rhs = d(x, z), d(x, y) + d(y, z)
+        triangle.add(rhs - lhs, (x, y, z), lhs, rhs)
+    gauges = nonneg, bounded, symmetry, diag, triangle, zero_equal, zero_only
+    return tuple(g.row() for g in gauges)
+
+
+def oracle_similarity_checks(names, su, same, triples):
+    """``check_similarity_axioms`` scored one instance at a time: ``su(a, b)``
+    is SU of the ordered pair, ``same(a, b)`` compares two columns' classes.
+    Pair conditions run in sorted order over the pairs of the triples plus
+    the self-pairs; symmetry once per unordered pair, at its first."""
+    tol = SCORING_TOLERANCE
+    symmetry, self_nonneg, dominance, triangle, value_range, max_equal = (
+        OracleGauge(name, -tol) for name in ("symmetry", "self_similarity_nonnegative",
+                                             "self_similarity_dominates", "triangle_bound",
+                                             "value_range", "max_on_indiscernible"))
+    max_only = OracleGauge("max_only_on_indiscernible", tol, strict=True)
+    seen = {(a, b) for x, y, z in triples for a, b in ((x, y), (y, z), (x, z))}
+    seen |= {(a, a) for a in names}
+    for a in names:
+        self_nonneg.add(su(a, a), (a,), su(a, a), 0.0)
+    for a, b in sorted(seen):
+        v = su(a, b)
+        value_range.add(min(v, 1.0 - v), (a, b), v, None)
+        dominance.add(su(a, a) - v, (a, b), v, su(a, a))
+        if a <= b or (b, a) not in seen:
+            symmetry.add(-abs(v - su(b, a)), (a, b), v, su(b, a))
+        if same(a, b):
+            max_equal.add(-(1.0 - v), (a, b), v, 1.0)
+        else:
+            max_only.add(1.0 - v, (a, b), v, 1.0)
+    for x, y, z in triples:
+        lhs, rhs = su(x, y) + su(y, z), su(x, z) + su(y, y)
+        triangle.add(rhs - lhs, (x, y, z), lhs, rhs)
+    gauges = symmetry, self_nonneg, dominance, triangle, value_range, max_equal, max_only
+    return tuple(g.row() for g in gauges)
+
+
+# ---------------------------------------------------------------------------
 # label text: catent only writes it, so its inverse lives with the tests
 
 

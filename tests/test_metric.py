@@ -1,13 +1,16 @@
 import importlib
 import io
 import itertools
+import json
 import math
+import random
 import sys
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catent.algebra import check_contractivity, check_monoid_laws
 from catent.ingest import load_matrix
@@ -23,10 +26,12 @@ from catent.entropy import (
     check_conditional_entropy_laws,
     entropy,
     mutual_information,
+    symmetric_uncertainty,
 )
 from catent.metric import (
     MAX_DEMO_STEPS,
     DistanceMatrix,
+    _Gauge,
     check_distance_axioms,
     check_entropy_laws,
     check_similarity_axioms,
@@ -369,6 +374,108 @@ class TestMergeReports:
     def test_unknown_check_name_raises_keyerror(self, internship):
         with pytest.raises(KeyError, match="no_such_axiom"):
             distance_report(internship).check("no_such_axiom")
+
+
+# margins that stress the gauge's rules: signed zeros, infinities, NaN, the
+# thresholds themselves, and ties among a few values
+MARGINS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -TOLERANCE, TOLERANCE, -1.0]),
+    st.floats(-2.0, 2.0),
+)
+
+
+def _gauge_state(g):
+    return (g.count, g.nonvacuous, g.violations, g.witness,
+            repr(g.worst), repr(g.lhs), repr(g.rhs))
+
+
+class TestGaugeExtend:
+    @given(st.lists(MARGINS, max_size=4), st.lists(st.lists(MARGINS, max_size=8), max_size=4),
+           st.sampled_from([-TOLERANCE, TOLERANCE, 0.0]), st.booleans())
+    @settings(max_examples=400)
+    def test_extend_is_a_loop_of_add(self, before, chunks, threshold, strict):
+        flat = [m for chunk in chunks for m in chunk]
+        sides = lambda i: (flat[i], float(i))  # noqa: E731  (one instance's lhs and rhs)
+        bulk, loop = _Gauge("g", threshold, strict), _Gauge("g", threshold, strict)
+        for g in bulk, loop:  # state from earlier instances
+            for k, m in enumerate(before):
+                g.add(m, ("before", k), m, -1.0)
+        for i, m in enumerate(flat):
+            loop.add(m, (i,), *sides(i))
+        start = 0
+        for chunk in chunks:
+            bulk.extend(chunk, [(i,) for i in range(start, start + len(chunk))], sides)
+            start += len(chunk)
+        assert _gauge_state(bulk) == _gauge_state(loop)
+
+
+def _rows(report):
+    return repr(tuple((c.name, c.instances, c.nonvacuous, c.violations, c.worst_slack,
+                       c.witness, c.lhs, c.rhs) for c in report.checks))
+
+
+def _assert_both_validators_match_the_oracle(dataset, triples=None, seed=0):
+    names, parts = dataset.names, canonical_classes(dataset)
+    same = lambda a, b: parts[a] == parts[b]  # noqa: E731
+    su = lambda a, b: symmetric_uncertainty(parts[a], parts[b])  # noqa: E731
+    triple_list = instances(names, 3, triples, seed)
+    matrix = distance_matrix(dataset)
+    assert _rows(check_distance_axioms(matrix, parts, triples, seed)) == repr(
+        oracle.oracle_distance_checks(names, matrix.value, same, triple_list))
+    assert _rows(check_similarity_axioms(dataset, triples, seed)) == repr(
+        oracle.oracle_similarity_checks(names, su, same, triple_list))
+
+
+def _ten_column_table(seed, rows=1000, k=8):
+    """The benchmark's table shape: a coarsening, an indiscernible copy, a
+    noisy copy, a parity column that breaks the triangle with c0 and c2."""
+    rng = random.Random(seed)
+    columns = {f"c{i}": [] for i in range(10)}
+    for _ in range(rows):
+        c0, c1, c5 = rng.randrange(k), rng.randrange(k), int(rng.random() ** 2 * k)
+        c4 = c1 if rng.random() < 0.9 else rng.randrange(k)
+        row = (c0, c1, c0 // 2, (c0 * 3) % k, c4, c5, (c1 + c5) % k, c0 % 2,
+               rng.randrange(k), (c0 + c1) % k)
+        for col, code in zip(columns.values(), row):
+            col.append(f"s{code}")
+    return Dataset.from_columns(columns)
+
+
+# cells of a loaded matrix: exact values, signed zeros, infinities and NaN
+CELLS = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 1.5, -0.5, math.nan, math.inf, -math.inf])
+
+
+class TestPerInstanceOracle:
+    """Both pair-table validators report exactly what the per-instance
+    scoring in ``tests/oracle.py`` reports, compared by ``repr``."""
+
+    def test_acceptance_population(self):
+        for seed in range(1000):
+            _assert_both_validators_match_the_oracle(
+                gen_dataset(GenConfig(seed=seed), columns=(seed % 4) + 2))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ten_column_tables_take_the_sampled_path(self, seed):
+        _assert_both_validators_match_the_oracle(_ten_column_table(seed))
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(CELLS, min_size=n, max_size=n), min_size=n, max_size=n),
+        st.lists(st.sampled_from(["ab", "ba", "aa"]), min_size=n, max_size=n))),
+        st.one_of(st.none(), st.integers(1, 12)))
+    @settings(max_examples=100)
+    def test_loaded_nan_and_inf_matrices(self, case, triples):
+        cells, patterns = case
+        names = [f"c{i}" for i in range(len(cells))]
+        # "ab" and "ba" carve the same partition: an indiscernible pair
+        parts = canonical_classes(Dataset.from_columns(dict(zip(names, map(list, patterns)))))
+        tsv = "".join("\t".join(fields) + "\n" for fields in [
+            ["", *names], *([name, *map(repr, row)] for name, row in zip(names, cells))])
+        text = json.dumps({"names": names, "values": cells})
+        same = lambda a, b: parts[a] == parts[b]  # noqa: E731
+        for matrix in load_matrix(io.StringIO(tsv)), load_matrix(io.StringIO(text), fmt="json"):
+            expected = oracle.oracle_distance_checks(
+                matrix.names, matrix.value, same, instances(matrix.names, 3, triples))
+            assert _rows(check_distance_axioms(matrix, parts, triples)) == repr(expected)
 
 
 def _per_triple_tally(dataset, triples=None, seed=0):
