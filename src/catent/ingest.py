@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterator, TextIO, Union
 
 from .metric import DistanceMatrix
-from .model import CatentError, Dataset, _set, _Value, format_label
+from .model import CatentError, CategoricalVariable, Dataset, _set, _Value, format_label
 
 NA_LABEL = "<NA>"
 
@@ -111,13 +111,15 @@ def load_csv(source: Source, spec: CsvSpec = CsvSpec()) -> Dataset:
     if not rows:
         raise ParseError("input has no data rows")
 
-    # one tuple per column; an empty cell is the category NA_LABEL, so only
-    # a column that has one is rewritten
+    # an empty cell is the category NA_LABEL: a column whose alphabet holds
+    # "" is encoded again with its empty cells rewritten
     na = {"": NA_LABEL}
-    columns = {
-        name: tuple(map(na.get, col, col)) if "" in col else col
-        for name, col in zip(names, zip(*rows))
-    }
+    columns = {}
+    for name, col in zip(names, zip(*rows)):
+        var = CategoricalVariable(name, col)
+        if "" in var.alphabet:
+            var = CategoricalVariable(name, map(na.get, col, col))
+        columns[name] = var
     return Dataset.from_columns(columns)
 
 

@@ -121,7 +121,11 @@ class DistanceMatrix(_Value):
 
 
 def distance_matrix(dataset: Dataset, subset: Sequence[str] | None = None) -> DistanceMatrix:
-    """Pairwise distance matrix over all columns or a named subset."""
+    """Pairwise distance matrix over all columns or a named subset.
+
+    Each unordered pair is computed once, as ``1 - SU(x, y)`` with ``x``
+    the earlier name; SU's two orders can round differently, so reordering
+    the columns may move an entry by its last bit (one ulp)."""
     names = tuple(dataset.names if subset is None else subset)
     parts = [induced_partition(dataset[name], dataset) for name in names]
     n = len(names)

@@ -5,21 +5,25 @@ categorical columns.  Every column induces a partition of the row
 indices via inverse images of its labels, and all information-theoretic
 structure downstream is computed from partitions, never from labels.
 
-The engine counts in integers: a dataset turns its ``Fraction`` row
-weights once into integer multiplicities over their common denominator,
-and a partition is one block code per row, packed into one integer,
-plus an integer mass per block.  Partition equality, coarseness, joins
-and contingency cells are therefore exact discrete facts with no
-floating-point ambiguity; a column's class up to relabeling is its
-induced ``Partition``.  Exact ``Fraction`` values remain at the API
-(``row_weights``, ``Partition.block_probs``, ``Partition.signature``,
-``ContingencyTable``).  Floats enter only when logarithms are taken: in
-``catent.entropy`` and in ``Partition.entropy``.  A partition's cached
-attributes, ``entropy`` among them, are computed on first read and
-stored on the instance without a lock.  A dataset builds each column's
-partition once, and those partitions share one table of conditional
-entropies keyed by the ordered pair of column names, so each ``H(x | y)``
-of two columns is computed once per dataset (``induced_partition``).
+The engine counts in integers: a dataset holds its row weights as a
+common denominator ``scale`` and integer ``multiplicities`` (``None`` on
+uniform rows, which so hold no per-row weight); a column is encoded from
+one tally of its labels, whose counts are its blocks' masses on uniform
+rows; and a partition is one block code per row, packed into one
+integer, plus an integer mass per block.  Partition equality,
+coarseness, joins and contingency cells are therefore exact discrete
+facts with no floating-point ambiguity; a column's class up to
+relabeling is its induced ``Partition``.  Exact ``Fraction`` values
+remain at the API (``row_weights``, ``Partition.block_probs``,
+``Partition.signature``, ``ContingencyTable``), and ``fractions`` is
+imported only where one is built.  Floats enter only when logarithms
+are taken: in ``catent.entropy`` and in ``Partition.entropy``.  A
+partition's cached attributes, ``entropy`` among them, are computed on
+first read and stored on the instance without a lock.  A dataset
+builds each column's partition once, and those partitions share one
+table of conditional entropies keyed by the ordered pair of column
+names, so each ``H(x | y)`` of two columns is computed once per dataset
+(``induced_partition``).
 The join of two such partitions is built once as well, but a dataset
 does not keep it: ``join`` keeps it in one process-wide store of at most
 ``MAX_STORED_JOINS`` (64); its docstring states the store's policy and
@@ -54,11 +58,12 @@ from array import array
 # CPython-private but always exported: the C helper from _collections, else a
 # pure-Python fallback in collections/__init__.py; Counter.update calls it too
 from collections import _count_elements
-from fractions import Fraction
-from itertools import repeat
 from sys import byteorder
 from types import MappingProxyType
-from typing import Hashable, Iterable, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Sequence, Union
+
+if TYPE_CHECKING:  # annotations only: fractions loads where a Fraction is built
+    from fractions import Fraction
 
 Label = Hashable
 
@@ -74,16 +79,11 @@ class StructuralError(CatentError, ValueError):
     row universes, invalid weights, or malformed partitions."""
 
 
-def _integer_weights(weights: tuple[Fraction, ...]) -> tuple[int, tuple[int, ...] | None]:
+def _integer_weights(weights: "tuple[Fraction, ...]") -> tuple[int, tuple[int, ...] | None]:
     # (D, m) with weight i = m[i] / D and D the least common denominator;
-    # m is None when every m[i] is 1, so uniform rows need no per-row work
-    first = weights[0]
-    if all(map(operator.is_, weights, repeat(first))):
-        # one weight object on every row: D and m come from it alone
-        scale, mult = first.denominator, (first.numerator,) * len(weights)
-    else:
-        scale = math.lcm(*(w.denominator for w in weights))
-        mult = tuple(w.numerator * (scale // w.denominator) for w in weights)
+    # m is None when every m[i] is 1
+    scale = math.lcm(*(w.denominator for w in weights))
+    mult = tuple(w.numerator * (scale // w.denominator) for w in weights)
     return scale, None if mult.count(1) == len(mult) else mult
 
 
@@ -100,6 +100,12 @@ def _tally(keys: Iterable[Hashable], multiplicities: tuple[int, ...] | None) -> 
         for key, m in zip(keys, multiplicities):
             masses[key] = masses.get(key, 0) + m
     return masses
+
+
+def _each(table, keys: tuple) -> tuple:
+    # table[key] for every key in order, in one C loop: faster than a map of
+    # table.__getitem__, and an itemgetter of one key returns no tuple
+    return operator.itemgetter(*keys)(table) if len(keys) > 1 else (table[keys[0]],)
 
 
 # constructors set their fields with this, past _Value.__setattr__; unlike
@@ -153,9 +159,11 @@ class CategoricalVariable(_Value):
 
     Labels may be any hashable values.  Plain columns use strings;
     joint variables (see ``catent.algebra``) use tuples of labels.
+    String labels are NFC-normalised, so visually identical labels are one.
     """
 
-    # ``alphabet``: the distinct labels in first-occurrence order
+    # ``alphabet``: the distinct labels in first-occurrence order, and
+    # ``counts``: each one's row count, both from one tally of the labels
     _fields = ("name", "labels")
 
     def __init__(self, name: str, labels: tuple[Label, ...]):
@@ -163,23 +171,28 @@ class CategoricalVariable(_Value):
         if not labels:
             raise StructuralError(f"variable {name!r} has no rows")
         try:
-            alphabet = tuple(dict.fromkeys(labels))
+            tally = _tally(labels, None)
         except RecursionError:  # equal but distinct labels, nested too deep to compare
             raise StructuralError(f"variable {name!r}: labels nested too deep") from None
-        # strings are NFC-normalised so visually identical labels compare equal:
-        # each distinct non-NFC string once, then the rows through that map
-        nfc = {lab: unicodedata.normalize("NFC", lab) for lab in alphabet
+        # each distinct non-NFC string is normalised once; the spellings it merges
+        # add their counts, and the rows take the NFC text through their codes
+        nfc = {lab: unicodedata.normalize("NFC", lab) for lab in tally
                if isinstance(lab, str) and not unicodedata.is_normalized("NFC", lab)}
         if nfc:
-            labels = tuple(map(nfc.get, labels, labels))
-            alphabet = tuple(dict.fromkeys(map(nfc.get, alphabet, alphabet)))
-        vars(self).update(name=name, labels=labels, alphabet=alphabet)
+            merged = _tally(map(nfc.get, tally, tally), tally.values())
+            position = dict(zip(merged, range(len(merged))))
+            codes = _each({lab: position[nfc.get(lab, lab)] for lab in tally}, labels)
+            alphabet = tuple(merged)
+            labels = _each(alphabet, codes)
+            vars(self).update(codes=codes)
+            tally = merged
+        vars(self).update(name=name, labels=labels, alphabet=tuple(tally),
+                          counts=tuple(tally.values()))
 
     @_stored
     def codes(self) -> tuple[int, ...]:
         """Position of each row's label in ``alphabet``."""
-        index = {lab: i for i, lab in enumerate(self.alphabet)}
-        return tuple(map(index.__getitem__, self.labels))
+        return _each(dict(zip(self.alphabet, range(len(self.alphabet)))), self.labels)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -188,42 +201,40 @@ class CategoricalVariable(_Value):
 class Dataset(_Value):
     """A finite weighted sample space with named categorical columns.
 
-    Row weights are positive ``Fraction`` values summing to one.  Column
-    names are strings, and every column has exactly one label per row.
-    ``from_columns`` is the usual entry point; it defaults to uniform
-    weights.  Row ``i`` weighs ``multiplicities[i] / scale``, with
-    ``scale`` the common denominator; ``multiplicities`` is ``None``
-    when all rows weigh ``1 / scale``.
+    Column names are strings, and every column has exactly one label per
+    row.  The weights are integers: row ``i`` of ``row_count`` weighs
+    ``multiplicities[i] / scale``, with ``scale`` the least common
+    denominator, and ``multiplicities`` is ``None`` when all rows weigh
+    ``1 / scale``.  ``row_weights``, the positive ``Fraction`` weights
+    summing to one, is what the constructor takes; ``from_columns``
+    defaults to uniform weights and ``with_column`` keeps its dataset's,
+    and neither builds a weight per row: their ``row_weights`` is derived
+    from the integers on first read.
     """
 
     _fields = ("columns", "row_weights")
 
     def __init__(self, columns: Mapping[str, CategoricalVariable],
-                 row_weights: tuple[Fraction, ...]):
+                 row_weights: "tuple[Fraction, ...]"):
         if not row_weights:
             raise StructuralError("dataset has no rows")
+        from fractions import Fraction
         weights = tuple(w if isinstance(w, Fraction) else Fraction(w) for w in row_weights)
         scale, mult = _integer_weights(weights)
         if mult is not None and min(mult) <= 0:
             raise StructuralError("row weights must be positive")
         if (len(weights) if mult is None else sum(mult)) != scale:
             raise StructuralError("row weights must sum to 1")
-        vars(self).update(row_weights=weights, scale=scale, multiplicities=mult)
-        cols = dict(columns)
-        for name, var in cols.items():
-            if not isinstance(name, str):
-                raise StructuralError(f"column name {name!r} is not a string")
-            if not isinstance(var, CategoricalVariable):
-                raise StructuralError(f"column {name!r} is not a CategoricalVariable")
-            if name != var.name:
-                raise StructuralError(
-                    f"column key {name!r} does not match variable name {var.name!r}"
-                )
-            if len(var) != len(weights):
-                raise StructuralError(
-                    f"column {name!r} has {len(var)} rows, dataset has {len(weights)}"
-                )
-        _set(self, "columns", MappingProxyType(cols))
+        _set(self, "row_weights", weights)
+        _on_universe(self, columns, len(weights), scale, mult)
+
+    @_stored
+    def row_weights(self) -> "tuple[Fraction, ...]":
+        """Row i's weight ``multiplicities[i] / scale``, as a ``Fraction``."""
+        from fractions import Fraction
+        if self.multiplicities is None:
+            return (Fraction(1, self.scale),) * self.row_count
+        return tuple(Fraction(m, self.scale) for m in self.multiplicities)
 
     @_stored
     def _memo(self) -> tuple[dict, dict]:
@@ -234,7 +245,7 @@ class Dataset(_Value):
     def from_columns(
         cls,
         columns: Mapping[str, Union[CategoricalVariable, Sequence[Label]]],
-        row_weights: Sequence[Union[Fraction, int]] | None = None,
+        row_weights: "Sequence[Union[Fraction, int]] | None" = None,
     ) -> "Dataset":
         """Build a dataset from a ``name -> variable or labels`` mapping.
 
@@ -248,14 +259,11 @@ class Dataset(_Value):
                 vars_[name] = CategoricalVariable(name, tuple(value))
         if not vars_:
             raise StructuralError("dataset needs at least one column")
-        n = len(next(iter(vars_.values())))
+        if row_weights is None:
+            n = len(next(iter(vars_.values())))
+            return _on_universe(object.__new__(cls), vars_, n, n, None)
         # the constructor turns the weights into Fractions and validates them
-        weights = (Fraction(1, n),) * n if row_weights is None else tuple(row_weights)
-        return cls(vars_, weights)
-
-    @property
-    def row_count(self) -> int:
-        return len(self.row_weights)
+        return cls(vars_, tuple(row_weights))
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -271,7 +279,28 @@ class Dataset(_Value):
         """A new dataset with ``var`` appended (or replaced, by name)."""
         cols = dict(self.columns)
         cols[var.name] = var
-        return Dataset(cols, self.row_weights)
+        return _on_universe(object.__new__(Dataset), cols, self.row_count, self.scale,
+                            self.multiplicities)
+
+
+def _on_universe(dataset: Dataset, columns: Mapping[str, CategoricalVariable], rows: int,
+                 scale: int, multiplicities: tuple[int, ...] | None) -> Dataset:
+    # fills a new dataset: its weighted universe (see Dataset) and its checked columns
+    vars(dataset).update(row_count=rows, scale=scale, multiplicities=multiplicities)
+    cols = dict(columns)
+    for name, var in cols.items():
+        if not isinstance(name, str):
+            raise StructuralError(f"column name {name!r} is not a string")
+        if not isinstance(var, CategoricalVariable):
+            raise StructuralError(f"column {name!r} is not a CategoricalVariable")
+        if name != var.name:
+            raise StructuralError(
+                f"column key {name!r} does not match variable name {var.name!r}"
+            )
+        if len(var) != rows:
+            raise StructuralError(f"column {name!r} has {len(var)} rows, dataset has {rows}")
+    _set(dataset, "columns", MappingProxyType(cols))
+    return dataset
 
 
 class Partition(_Value):
@@ -323,13 +352,15 @@ class Partition(_Value):
         return tuple(map(frozenset, rows))
 
     @_stored
-    def block_probs(self) -> tuple[Fraction, ...]:
+    def block_probs(self) -> "tuple[Fraction, ...]":
+        from fractions import Fraction
         return tuple(Fraction(c, self.scale) for c in self.counts)
 
     @property
-    def signature(self) -> tuple[Fraction, ...]:
+    def signature(self) -> "tuple[Fraction, ...]":
         """Block probabilities, largest first: invariant under relabeling
         and under row permutations."""
+        from fractions import Fraction
         return tuple(Fraction(c, self.scale) for c in sorted(self.counts, reverse=True))
 
     @property
@@ -404,7 +435,7 @@ class ContingencyTable(_Value):
     _fields = ("row_alphabet", "col_alphabet", "counts")
 
     def __init__(self, row_alphabet: tuple[Label, ...], col_alphabet: tuple[Label, ...],
-                 counts: tuple[tuple[Fraction, ...], ...]):
+                 counts: "tuple[tuple[Fraction, ...], ...]"):
         if len(counts) != len(row_alphabet):
             raise StructuralError("one count row per row-alphabet entry required")
         for row in counts:
@@ -416,7 +447,7 @@ class ContingencyTable(_Value):
             raise StructuralError("cell masses must sum to 1")
         vars(self).update(row_alphabet=row_alphabet, col_alphabet=col_alphabet, counts=counts)
 
-    def mass(self, row_label: Label, col_label: Label) -> Fraction:
+    def mass(self, row_label: Label, col_label: Label) -> "Fraction":
         """Joint mass of one (row label, column label) cell."""
         i = self.row_alphabet.index(row_label)
         j = self.col_alphabet.index(col_label)
@@ -431,12 +462,14 @@ def induced_partition(var: CategoricalVariable, dataset: Dataset) -> Partition:
         raise StructuralError(
             f"variable {var.name!r} has {len(var)} rows, dataset has {dataset.row_count}"
         )
+    # a block's mass is its label's row count on unweighted rows; weighted rows tally
+    counts = var.counts if dataset.multiplicities is None else None
     if dataset.columns.get(var.name) is not var:
-        return _on_rows(var.codes, dataset)
+        return _on_rows(var.codes, dataset, counts)
     parts, pairs = dataset._memo
     p = parts.get(var.name)
     if p is None:
-        p = parts[var.name] = _on_rows(var.codes, dataset)
+        p = parts[var.name] = _on_rows(var.codes, dataset, counts)
         vars(p).update(_name=var.name, _pairs=pairs)
     return p
 
@@ -539,6 +572,7 @@ def contingency(
     x: CategoricalVariable, y: CategoricalVariable, dataset: Dataset
 ) -> ContingencyTable:
     """Exact joint mass table of two variables over the dataset."""
+    from fractions import Fraction
     cells = cell_counts(induced_partition(x, dataset), induced_partition(y, dataset))
     cols = range(len(y.alphabet))
     grid = tuple(

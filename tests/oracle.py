@@ -14,6 +14,7 @@ import functools
 import io
 import itertools
 import math
+import unicodedata
 from collections import Counter
 from fractions import Fraction
 
@@ -157,6 +158,16 @@ def oracle_codes(labels) -> list[int]:
     """Each row's block number, blocks numbered by first occurrence."""
     index: dict = {}
     return [index.setdefault(label, len(index)) for label in labels]
+
+
+def oracle_encoding(labels) -> tuple[tuple, tuple, tuple, tuple]:
+    """``(alphabet, labels, codes, counts)`` of a column: every string label
+    NFC-normalised on its own, then the distinct labels in first-occurrence
+    order, each row's position among them and each one's row count."""
+    nfc = tuple(unicodedata.normalize("NFC", x) if isinstance(x, str) else x for x in labels)
+    counts = Counter(nfc)  # keys in first-occurrence order
+    alphabet = tuple(counts)
+    return alphabet, nfc, tuple(map(alphabet.index, nfc)), tuple(counts.values())
 
 
 def oracle_cells(xs, ys, multiplicities=None) -> Counter:

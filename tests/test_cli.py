@@ -948,8 +948,36 @@ class TestTopLevel:
         )
         assert proc.returncode == 0, proc.stderr
         assert "'catent.cli'" in proc.stdout
-        for module in ("dataclasses", "inspect", "json", "importlib.resources"):
+        for module in ("dataclasses", "inspect", "json", "importlib.resources", "fractions"):
             assert f"'{module}'" not in proc.stdout, module
+
+    # uniform datasets hold integer weights only, so no analysis command loads
+    # fractions (nor decimal and numbers, which it imports); ``classes`` prints
+    # each partition's signature as Fractions and may
+    FRACTION_FREE = (
+        ("su", "Creativity", "GotHired"), ("rank", "GotHired"), ("dist",),
+        ("joint", "Creativity", "GotHired"), ("check-metric",),
+    )
+    GATE = """
+import contextlib, io, runpy, sys
+for command, *args in COMMANDS:
+    sys.argv = ["catent", command, FIXTURE, *args]
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            runpy.run_module("catent.cli", run_name="__main__")
+        except SystemExit as exc:
+            code = exc.code
+    print(command, code, [m for m in ("fractions", "decimal", "numbers") if m in sys.modules])
+"""
+
+    def test_analysis_commands_leave_fractions_unloaded(self):
+        setup = f"COMMANDS = {self.FRACTION_FREE!r}\nFIXTURE = {FIXTURE!r}\n"
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", setup + self.GATE],
+            capture_output=True, text=True, env=src_env(), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [f"{argv[0]} 0 []" for argv in self.FRACTION_FREE]
 
     def test_no_runtime_dependency_declared(self):
         tomllib = pytest.importorskip("tomllib")

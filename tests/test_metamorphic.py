@@ -11,6 +11,8 @@ distribution must give the same floats, whichever kernel route each takes:
 * a row permutation, which renumbers the blocks and so reorders every
   cell, mask and term;
 * a bijective relabeling of each column, here to labels of other types;
+* writing labels in NFD rather than NFC, on every row or on some: a
+  column's one tally merges the spellings and adds their counts;
 * a reordering and renaming of the columns, compared name for name, since
   the enumeration order of instances (and so a tied witness) moves.
 
@@ -22,6 +24,7 @@ tally per triple).  Nothing is compared within a tolerance.
 """
 
 import itertools
+import unicodedata
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -124,6 +127,26 @@ def test_bijective_relabelings(table, image):
                  for i, (name, col) in enumerate(wide.items())}
     assert fingerprint(Dataset.from_columns(wide)) == fingerprint(
         Dataset.from_columns(relabeled))
+
+
+# composed letters, each but the last two or three code points in NFD
+ACCENTED = dict(zip(SYMBOLS, ["\u00e9", "\u00e0", "\u00f1", "\u1e69", "\u00c5", "o"]))
+
+
+@given(tables(), st.randoms(use_true_random=False))
+@settings(max_examples=30)
+def test_nfd_spellings(table, rng):
+    columns, mult = table
+    nfc = {name: [ACCENTED[lab] for lab in col] for name, col in columns.items()}
+    nfd = {name: [unicodedata.normalize("NFD", lab) for lab in col] for name, col in nfc.items()}
+    mixed = {name: [unicodedata.normalize(rng.choice(("NFC", "NFD")), lab) for lab in col]
+             for name, col in nfc.items()}
+    for build in (lambda cols: weighted(cols, mult),
+                  lambda cols: Dataset.from_columns(expanded(cols, mult))):
+        want = build(nfc)
+        for spelled in build(nfd), build(mixed):
+            assert spelled == want
+            assert fingerprint(spelled) == fingerprint(want)
 
 
 def _counts(report):

@@ -1,3 +1,4 @@
+import csv
 import gc
 import io
 import itertools
@@ -75,6 +76,58 @@ class TestCategoricalVariable:
         v = CategoricalVariable("v", [("e\u0301", 1), "e\u0301", 2.5, ("e\u0301", 1)])
         assert v.labels == (("e\u0301", 1), "\u00e9", 2.5, ("e\u0301", 1))
         assert v.alphabet == (("e\u0301", 1), "\u00e9", 2.5)
+
+
+# NFD and NFC spellings of one text, the empty text, NA_LABEL, tuples
+# (left as they are, an NFD spelling inside included) and ints
+ENCODED_LABELS = st.sampled_from(
+    ["e\u0301", "\u00e9", "x", "", "<NA>", ("e\u0301", 1), ("\u00e9", 1), ("x",), 0, 7])
+CSV_CELLS = st.sampled_from(["", "<NA>", "x", "e\u0301", "\u00e9"])
+
+
+class TestEncoding:
+    """A column's one tally against ``oracle.oracle_encoding``, a
+    ``Counter`` of its labels normalised one by one: the alphabet, labels
+    and codes, and the block counts on uniform and on weighted rows."""
+
+    @given(st.lists(ENCODED_LABELS, min_size=1, max_size=30),
+           st.none() | st.lists(st.integers(1, 4), min_size=30, max_size=30))
+    @settings(max_examples=200)
+    def test_encoding_matches_the_oracle(self, labels, mult):
+        alphabet, nfc, codes, counts = oracle.oracle_encoding(labels)
+        var = CategoricalVariable("v", labels)
+        assert (var.alphabet, var.labels, var.codes) == (alphabet, nfc, codes)
+        if mult is None:
+            d = Dataset.from_columns({"v": var})
+        else:  # block b weighs the multiplicities of its rows over their sum
+            mult = mult[:len(labels)]
+            d = Dataset.from_columns({"v": var}, [Fraction(m, sum(mult)) for m in mult])
+            counts = [0] * len(alphabet)
+            for code, m in zip(codes, mult):
+                counts[code] += m
+        want = [Fraction(c, len(labels) if mult is None else sum(mult)) for c in counts]
+        # the dataset's own column, and a variable from outside it
+        for p in induced_partition(var, d), induced_partition(CategoricalVariable("w", labels), d):
+            assert [Fraction(c, p.scale) for c in p.counts] == want
+            assert p.codes == codes
+
+    @given(st.integers(1, 3).flatmap(
+        lambda width: st.lists(st.lists(CSV_CELLS, min_size=width, max_size=width),
+                               min_size=1, max_size=8)))
+    @settings(max_examples=100)
+    def test_an_empty_cell_loads_as_na(self, rows):
+        def text(cells):
+            buffer = io.StringIO()
+            writer = csv.writer(buffer)
+            writer.writerow([f"c{i}" for i in range(len(rows[0]))])
+            writer.writerows(cells)
+            return io.StringIO(buffer.getvalue())
+
+        written = [["<NA>" if cell == "" else cell for cell in row] for row in rows]
+        got, want = load_csv(text(rows)), load_csv(text(written))
+        assert got == want
+        for var, twin in zip(got.columns.values(), want.columns.values()):
+            assert (var.alphabet, var.codes, var.counts) == (twin.alphabet, twin.codes, twin.counts)
 
 
 class TestDataset:
