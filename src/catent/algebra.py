@@ -35,8 +35,7 @@ from .model import (
 from .entropy import TOLERANCE
 from .metric import (
     AxiomReport,
-    _Gauge,
-    _report,
+    _score,
     instances,
     partition_distance,
 )
@@ -120,29 +119,33 @@ def check_monoid_laws(
     const = trivial_partition(dataset)
     copy = functools.cache(lambda name: relabel(dataset[name]))
 
-    g_assoc = _Gauge("associativity", 0.0)
-    g_commut = _Gauge("commutativity", 0.0)
-    g_ident = _Gauge("identity_element", 0.0)
-    g_well = _Gauge("well_definedness", 0.0)
-
     def verdict(equal: bool) -> float:
         # exact laws: margin 0 on success, -inf on a counterexample
         return 0.0 if equal else float("-inf")
 
-    for nx, ny, nz in triple_list:
-        left = join(join(parts[nx], parts[ny]), parts[nz])
-        right = join(parts[nx], join(parts[ny], parts[nz]))
-        g_assoc.add(verdict(left == right), (nx, ny, nz))
+    assoc = [verdict(join(join(parts[nx], parts[ny]), parts[nz])
+                     == join(parts[nx], join(parts[ny], parts[nz])))
+             for nx, ny, nz in triple_list]
     # each pair and each single in the order the triples first name it
-    for nx, ny in dict.fromkeys((nx, ny) for nx, ny, _ in triple_list):
+    pairs = list(dict.fromkeys((nx, ny) for nx, ny, _ in triple_list))
+    commut, well = [], []
+    for nx, ny in pairs:
         xy = join(parts[nx], parts[ny])
-        g_commut.add(verdict(xy == join(parts[ny], parts[nx])), (nx, ny))
+        commut.append(verdict(xy == join(parts[ny], parts[nx])))
         relabeled = joint(copy(nx), copy(ny), dataset)
-        g_well.add(verdict(induced_partition(relabeled, dataset) == xy), (nx, ny))
-    for nx in dict.fromkeys(nx for nx, _, _ in triple_list):
-        g_ident.add(verdict(join(parts[nx], const) == parts[nx]), (nx,))
+        well.append(verdict(induced_partition(relabeled, dataset) == xy))
+    singles = list(dict.fromkeys((nx,) for nx, _, _ in triple_list))
+    ident = [verdict(join(parts[nx], const) == parts[nx]) for (nx,) in singles]
 
-    return _report(g_assoc, g_commut, g_ident, g_well)
+    def no_sides(i):  # an exact law compares two partitions, not two numbers
+        return None, None
+
+    return AxiomReport((
+        _score("associativity", assoc, triple_list, no_sides, 0.0),
+        _score("commutativity", commut, pairs, no_sides, 0.0),
+        _score("identity_element", ident, singles, no_sides, 0.0),
+        _score("well_definedness", well, pairs, no_sides, 0.0),
+    ))
 
 
 def check_contractivity(
@@ -182,10 +185,9 @@ def check_contractivity(
             memo[key] = value
         return value
 
-    g = _Gauge("contractivity", -TOLERANCE)
-    for nx, ny, nz, nw in quad_list:
-        lhs = d((nx, ny), (nz, nw))
-        rhs = d(nx, nz) + d(ny, nw)
-        g.add(rhs - lhs, (nx, ny, nz, nw), lhs=lhs, rhs=rhs)
+    def sides(i):
+        nx, ny, nz, nw = quad_list[i]
+        return d((nx, ny), (nz, nw)), d(nx, nz) + d(ny, nw)
 
-    return _report(g)
+    margins = [rhs - lhs for lhs, rhs in map(sides, range(len(quad_list)))]
+    return AxiomReport((_score("contractivity", margins, quad_list, sides, -TOLERANCE),))

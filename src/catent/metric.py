@@ -30,16 +30,15 @@ Every validator checks ordered tuples of column names, enumerated by
 
 Reports use a uniform slack convention: every instance of an axiom is
 reduced to a margin that must stay nonnegative (inequalities:
-``rhs - lhs``; equalities: ``-|a - b|``), the worst (smallest) margin
-and its witness are kept, every margin short of the tolerance counts as
-a violation, and the axiom passes when there is none.  A failed check
-therefore always carries a concrete witness reproducing the violation,
-except in ``cross_check``: it compares two routes on one given pair, so
-its checks carry no witness, only the two route values.  The clauses of
-``check_distance_axioms`` and ``check_similarity_axioms`` only read a
-table of pair values, so each axiom scores one margin list at once, the
-witness the first smallest margin; the NaN rule is unchanged: a NaN
-margin is a violation, and takes the witness unless a violation came first.
+``rhs - lhs``; equalities: ``-|a - b|``), and every validator scores an
+axiom as one margin list, in instance order.  Every margin short of the
+tolerance counts as a violation, and the axiom passes when there is
+none.  The worst (first smallest) margin is kept with its witness,
+except that a NaN margin, a violation that no comparison ranks, is the
+witness when it is the first violation.  A failed check therefore always
+carries a concrete witness reproducing the violation, except in
+``cross_check``: it compares two routes on one given pair, so its checks
+carry no witness, only the two route values.
 """
 
 import functools
@@ -202,62 +201,24 @@ class AxiomReport(_Value):
         return "\n".join(lines)
 
 
-def _takes_witness(slack: float, violated: bool, worst: float, violations: int) -> bool:
-    """Whether an instance (or a report) with ``slack`` replaces the witness
-    of a record whose worst slack is ``worst``: the smaller slack wins, and a
-    violating NaN, which no comparison holds for, wins over a record with no
-    violation yet."""
-    return slack < worst or (violated and not violations and math.isnan(slack))
-
-
-class _Gauge:
-    """Accumulates margins for one axiom and keeps the worst instance; a
-    margin below ``threshold`` (with ``strict``, not above it) is a violation,
-    and so is a NaN margin, which becomes the witness unless a violation is."""
-
-    def __init__(self, name: str, threshold: float, strict: bool = False):
-        self.name, self.threshold, self.strict = name, threshold, strict
-        self.count = self.nonvacuous = self.violations = 0
-        self.worst, self.witness, self.lhs, self.rhs = math.inf, None, None, None
-
-    def add(self, margin: float, witness: tuple[str, ...] | None, lhs=None, rhs=None) -> None:
-        self.count += 1
-        self.nonvacuous += 1
-        # written as "not good" so that a NaN margin, which no comparison holds for, fails
-        violated = not (margin > self.threshold if self.strict else margin >= self.threshold)
-        if _takes_witness(margin, violated, self.worst, self.violations):
-            self.worst, self.witness, self.lhs, self.rhs = margin, witness, lhs, rhs
-        self.violations += violated
-
-    def extend(self, margins: list[float], witnesses: Sequence, sides) -> None:
-        """``add`` over a list of margins at once: ``witnesses[i]`` names
-        ``margins[i]`` and ``sides(*witnesses[i])`` gives its ``lhs, rhs``.  A
-        list holding a NaN, which ``min`` cannot rank, goes through ``add``."""
-        t = self.threshold  # "not good", as in add, so that a NaN margin fails
-        bad = [m for m in margins if not m > t] if self.strict else [
-            m for m in margins if not m >= t]
-        if any(m != m for m in bad):
-            for margin, witness in zip(margins, witnesses):
-                self.add(margin, witness, *sides(*witness))
-            return
-        self.count += len(margins)
-        self.nonvacuous += len(margins)
-        self.violations += len(bad)
-        # any violation is below every other margin; index finds the first smallest, as add keeps
-        if margins and (worst := min(bad or margins)) < self.worst:
-            witness = witnesses[margins.index(worst)]
-            self.worst, self.witness, (self.lhs, self.rhs) = worst, witness, sides(*witness)
-
-    def skip(self) -> None:
-        """Count an instance whose hypothesis did not fire: it has no margin."""
-        self.count += 1
-
-
-def _report(*gauges: _Gauge) -> AxiomReport:
-    return AxiomReport(tuple(
-        AxiomCheck(g.name, g.count, g.nonvacuous, g.violations, g.worst, g.witness, g.lhs, g.rhs)
-        for g in gauges
-    ))
+def _score(name: str, margins: list[float], witnesses: Sequence, sides, threshold: float,
+           strict: bool = False, vacuous: int = 0) -> AxiomCheck:
+    """One axiom's check from its margins in instance order: ``witnesses[i]``
+    names ``margins[i]``, ``sides(i)`` gives its ``lhs, rhs``, and ``vacuous``
+    more instances had no margin.  A margin below ``threshold`` (with
+    ``strict``, not above it) is a violation, and so is NaN.  The witness is
+    the first smallest margin, unless the first violation is a NaN, which no
+    comparison ranks: then that NaN is."""
+    t = threshold  # written as "not good" so that a NaN margin, which no comparison holds for, fails
+    bad = [m for m in margins if not m > t] if strict else [m for m in margins if not m >= t]
+    if bad and bad[0] != bad[0]:
+        i = next(i for i, m in enumerate(margins) if m != m)
+    else:
+        # any violation is below every other margin; index finds the first smallest
+        worst = min([m for m in bad if m == m] if bad else margins, default=math.inf)
+        i = margins.index(worst) if worst < math.inf else None
+    found = (math.inf, None, None, None) if i is None else (margins[i], witnesses[i], *sides(i))
+    return AxiomCheck(name, len(margins) + vacuous, len(margins), len(bad), *found)
 
 
 def merge_reports(reports: Iterable[AxiomReport]) -> AxiomReport:
@@ -267,8 +228,10 @@ def merge_reports(reports: Iterable[AxiomReport]) -> AxiomReport:
         for c in report.checks:
             prev = merged.get(c.name)
             if prev is not None:
-                w = c if _takes_witness(c.worst_slack, not c.passed, prev.worst_slack,
-                                        prev.violations) else prev
+                # the smaller slack wins, and a failing NaN, which no comparison
+                # holds for, wins over a record with no violation yet
+                nan_first = not c.passed and prev.passed and math.isnan(c.worst_slack)
+                w = c if c.worst_slack < prev.worst_slack or nan_first else prev
                 c = AxiomCheck(
                     c.name, prev.instances + c.instances, prev.nonvacuous + c.nonvacuous,
                     prev.violations + c.violations, w.worst_slack, w.witness, w.lhs, w.rhs)
@@ -295,20 +258,20 @@ def cross_check(x: Partition, y: Partition) -> AxiomReport:
     """
     hx, hy, hxy = entropy(x), entropy(y), joint_entropy(x, y)
     hx_y, hy_x = conditional_entropy(x, y), conditional_entropy(y, x)
-    routes = ("mutual_information", "symmetric_uncertainty", "distance")
-    g_mi, g_su, g_dist = (_Gauge(name, -TOLERANCE) for name in routes)
-    mi_posterior, mi_joint = hx - hx_y, hx + hy - hxy
-    g_mi.add(-abs(mi_posterior - mi_joint), None, lhs=mi_posterior, rhs=mi_joint)
+
+    def check(name: str, lhs: float, rhs: float) -> AxiomCheck:
+        return _score(name, [-abs(lhs - rhs)], [None], lambda i: (lhs, rhs), -TOLERANCE)
+
+    mi_posterior = hx - hx_y
+    mi = check("mutual_information", mi_posterior, hx + hy - hxy)
     if hx + hy == 0.0:
-        g_su.add(-0.0, None, lhs=1.0, rhs=1.0)
-        g_dist.skip()
+        su = check("symmetric_uncertainty", 1.0, 1.0)
+        dist = _score("distance", [], [], None, -TOLERANCE, vacuous=1)
     else:
         su_mi = 2.0 * mi_posterior / (hx + hy)
-        su_ratio = 2.0 * (1.0 - hxy / (hx + hy))
-        dist_su, dist_conditional = 1.0 - su_mi, (hx_y + hy_x) / (hx + hy)
-        g_su.add(-abs(su_mi - su_ratio), None, lhs=su_mi, rhs=su_ratio)
-        g_dist.add(-abs(dist_su - dist_conditional), None, lhs=dist_su, rhs=dist_conditional)
-    return _report(g_mi, g_su, g_dist)
+        su = check("symmetric_uncertainty", su_mi, 2.0 * (1.0 - hxy / (hx + hy)))
+        dist = check("distance", 1.0 - su_mi, (hx_y + hy_x) / (hx + hy))
+    return AxiomReport((mi, su, dist))
 
 
 def instances(
@@ -374,35 +337,35 @@ def check_similarity_axioms(
     su = {a: {b: symmetric_uncertainty(parts[a], parts[b]) for b in names if (a, b) in ordered}
           for a in names}
 
-    g_symmetry = _Gauge("symmetry", -TOLERANCE)
-    g_self_nonneg = _Gauge("self_similarity_nonnegative", -TOLERANCE)
-    g_dominance = _Gauge("self_similarity_dominates", -TOLERANCE)
-    g_triangle = _Gauge("triangle_bound", -TOLERANCE)
-    g_range = _Gauge("value_range", -TOLERANCE)
-    g_max_equal = _Gauge("max_on_indiscernible", -TOLERANCE)
-    g_max_only = _Gauge("max_only_on_indiscernible", TOLERANCE, strict=True)
-
-    # one margin list per clause, in instance order
-    g_self_nonneg.extend([su[a][a] for a in names], [(a,) for a in names],
-                         lambda a: (su[a][a], 0.0))
+    # one margin list per clause, in instance order, beside the values it reads
+    t = -TOLERANCE
+    selfs = [su[a][a] for a in names]
     pairs = sorted(seen)
-    g_range.extend([min(v, 1.0 - v) for v in (su[a][b] for a, b in pairs)], pairs,
-                   lambda a, b: (su[a][b], None))
-    g_dominance.extend([su[a][a] - su[a][b] for a, b in pairs], pairs,
-                       lambda a, b: (su[a][b], su[a][a]))
+    ab, aa = [su[a][b] for a, b in pairs], [su[a][a] for a, _ in pairs]
     once = [(a, b) for a, b in pairs if a <= b or (b, a) not in seen]  # per unordered pair
-    g_symmetry.extend([-abs(su[a][b] - su[b][a]) for a, b in once], once,
-                      lambda a, b: (su[a][b], su[b][a]))
+    sym = [(su[a][b], su[b][a]) for a, b in once]
     same = {(a, b) for a, b in pairs if parts[a] == parts[b]}
     equal, other = [p for p in pairs if p in same], [p for p in pairs if p not in same]
-    g_max_equal.extend([-(1.0 - su[a][b]) for a, b in equal], equal, lambda a, b: (su[a][b], 1.0))
-    g_max_only.extend([1.0 - su[a][b] for a, b in other], other, lambda a, b: (su[a][b], 1.0))
-    g_triangle.extend([(su[x][z] + su[y][y]) - (su[x][y] + su[y][z]) for x, y, z in triple_list],
-                      triple_list, lambda x, y, z: (su[x][y] + su[y][z], su[x][z] + su[y][y]))
+    su_equal, su_other = [su[a][b] for a, b in equal], [su[a][b] for a, b in other]
 
-    return _report(
-        g_symmetry, g_self_nonneg, g_dominance, g_triangle, g_range, g_max_equal, g_max_only
-    )
+    def triangle(i):
+        x, y, z = triple_list[i]
+        return su[x][y] + su[y][z], su[x][z] + su[y][y]
+
+    return AxiomReport((
+        _score("symmetry", [-abs(u - v) for u, v in sym], once, sym.__getitem__, t),
+        _score("self_similarity_nonnegative", selfs, [(a,) for a in names],
+               lambda i: (selfs[i], 0.0), t),
+        _score("self_similarity_dominates", [s - v for s, v in zip(aa, ab)], pairs,
+               lambda i: (ab[i], aa[i]), t),
+        _score("triangle_bound", [(su[x][z] + su[y][y]) - (su[x][y] + su[y][z])
+                                  for x, y, z in triple_list], triple_list, triangle, t),
+        _score("value_range", [min(v, 1.0 - v) for v in ab], pairs, lambda i: (ab[i], None), t),
+        _score("max_on_indiscernible", [-(1.0 - v) for v in su_equal], equal,
+               lambda i: (su_equal[i], 1.0), t),
+        _score("max_only_on_indiscernible", [1.0 - v for v in su_other], other,
+               lambda i: (su_other[i], 1.0), TOLERANCE, strict=True),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -428,32 +391,34 @@ def check_distance_axioms(
         raise KeyError(f"no class for columns: {missing}")
     d = {a: dict(zip(names, row)) for a, row in zip(names, matrix.values)}  # matrix.value(a, b)
 
-    g_nonneg = _Gauge("nonnegativity", -TOLERANCE)
-    g_bounded = _Gauge("bounded_by_one", -TOLERANCE)
-    g_symmetry = _Gauge("symmetry", -TOLERANCE)
-    g_diag = _Gauge("zero_diagonal", -TOLERANCE)
-    g_triangle = _Gauge("triangle_inequality", -TOLERANCE)
-    g_zero_equal = _Gauge("zero_on_indiscernible", -TOLERANCE)
-    g_zero_only = _Gauge("zero_only_on_indiscernible", TOLERANCE, strict=True)
-
-    # one margin list per clause, in instance order
-    g_diag.extend([-abs(d[a][a]) for a in names], [(a,) for a in names], lambda a: (d[a][a], 0.0))
+    # one margin list per clause, in instance order, beside the values it reads
+    t = -TOLERANCE
+    diag = [d[a][a] for a in names]
     pairs = list(itertools.combinations(names, 2))
-    g_nonneg.extend([d[a][b] for a, b in pairs], pairs, lambda a, b: (d[a][b], 0.0))
-    g_bounded.extend([1.0 - d[a][b] for a, b in pairs], pairs, lambda a, b: (d[a][b], 1.0))
-    g_symmetry.extend([-abs(d[a][b] - d[b][a]) for a, b in pairs], pairs,
-                      lambda a, b: (d[a][b], d[b][a]))
+    ab, ba = [d[a][b] for a, b in pairs], [d[b][a] for a, b in pairs]
     same = {(a, b) for a, b in pairs if class_keys[a] == class_keys[b]}
     equal, other = [p for p in pairs if p in same], [p for p in pairs if p not in same]
-    g_zero_equal.extend([-d[a][b] for a, b in equal], equal, lambda a, b: (d[a][b], 0.0))
-    g_zero_only.extend([d[a][b] for a, b in other], other, lambda a, b: (d[a][b], 0.0))
+    d_equal, d_other = [d[a][b] for a, b in equal], [d[a][b] for a, b in other]
     triple_list = instances(names, 3, triples, seed)
-    g_triangle.extend([d[x][y] + d[y][z] - d[x][z] for x, y, z in triple_list], triple_list,
-                      lambda x, y, z: (d[x][z], d[x][y] + d[y][z]))
 
-    return _report(
-        g_nonneg, g_bounded, g_symmetry, g_diag, g_triangle, g_zero_equal, g_zero_only
-    )
+    def triangle(i):
+        x, y, z = triple_list[i]
+        return d[x][z], d[x][y] + d[y][z]
+
+    return AxiomReport((
+        _score("nonnegativity", ab, pairs, lambda i: (ab[i], 0.0), t),
+        _score("bounded_by_one", [1.0 - v for v in ab], pairs, lambda i: (ab[i], 1.0), t),
+        _score("symmetry", [-abs(u - v) for u, v in zip(ab, ba)], pairs,
+               lambda i: (ab[i], ba[i]), t),
+        _score("zero_diagonal", [-abs(v) for v in diag], [(a,) for a in names],
+               lambda i: (diag[i], 0.0), t),
+        _score("triangle_inequality", [d[x][y] + d[y][z] - d[x][z] for x, y, z in triple_list],
+               triple_list, triangle, t),
+        _score("zero_on_indiscernible", [-v for v in d_equal], equal,
+               lambda i: (d_equal[i], 0.0), t),
+        _score("zero_only_on_indiscernible", d_other, other, lambda i: (d_other[i], 0.0),
+               TOLERANCE, strict=True),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -476,16 +441,21 @@ def check_entropy_laws(
     names = dataset.names
     parts = canonical_classes(dataset)
     coarser = functools.cache(lambda a, b: is_coarser(parts[a], parts[b]))
-    gauges = [_Gauge(name, -TOLERANCE) for name in LAWS]
-    for triple in instances(names, 3, triples, seed):
+    triple_list = instances(names, 3, triples, seed)
+    laws = [([], []) for _ in LAWS]  # each law's margins and their triples
+    for triple in triple_list:
         x, y, z = map(parts.__getitem__, triple)
         gaps = _law_gaps(x, y, z, coarser(*triple[:2]), _three_way(x, y, z))
-        for gauge, gap in zip(gauges, gaps):
-            if gap is None:
-                gauge.skip()
-            else:
-                gauge.add(-gap, triple, lhs=gap, rhs=0.0)
-    return _report(*gauges)
+        for (margins, witnesses), gap in zip(laws, gaps):
+            if gap is not None:
+                margins.append(-gap)
+                witnesses.append(triple)
+    # the gap is lhs, and its negation is exact
+    return AxiomReport(tuple(
+        _score(name, margins, witnesses, lambda i: (-margins[i], 0.0), -TOLERANCE,
+               vacuous=len(triple_list) - len(margins))
+        for name, (margins, witnesses) in zip(LAWS, laws)
+    ))
 
 
 # ---------------------------------------------------------------------------

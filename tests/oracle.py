@@ -260,7 +260,7 @@ def relaxed_triangle_slack(factor: float):
 
 
 # ---------------------------------------------------------------------------
-# per-instance scoring of the two pair-table validators, one margin at a time
+# per-instance scoring of the validators, one margin at a time
 
 SCORING_TOLERANCE = 1e-9  # catent.entropy.TOLERANCE, the acceptance threshold
 
@@ -273,11 +273,12 @@ class OracleGauge:
 
     def __init__(self, name, threshold, strict=False):
         self.name, self.threshold, self.strict = name, threshold, strict
-        self.count = self.violations = 0
+        self.count = self.nonvacuous = self.violations = 0
         self.worst, self.witness, self.lhs, self.rhs = math.inf, None, None, None
 
     def add(self, margin, witness, lhs, rhs):
         self.count += 1
+        self.nonvacuous += 1
         if self.strict:
             violated = not margin > self.threshold
         else:
@@ -287,10 +288,74 @@ class OracleGauge:
             self.worst, self.witness, self.lhs, self.rhs = margin, witness, lhs, rhs
         self.violations += violated
 
+    def skip(self):
+        """An instance whose hypothesis did not fire: counted, with no margin."""
+        self.count += 1
+
     def row(self):
-        """The fields of catent's ``AxiomCheck``, in order; every instance is nonvacuous."""
-        return (self.name, self.count, self.count, self.violations,
+        """The fields of catent's ``AxiomCheck``, in order."""
+        return (self.name, self.count, self.nonvacuous, self.violations,
                 self.worst, self.witness, self.lhs, self.rhs)
+
+
+def oracle_monoid_checks(triples, holds):
+    """``check_monoid_laws`` scored one instance at a time: ``holds`` maps
+    each law, in report order, to a test of one instance, margin 0 if it
+    holds and -inf if not.  Each pair and each single is checked once, where
+    the triples first name it."""
+    gauges = {law: OracleGauge(law, 0.0) for law in holds}
+
+    def score(law, *names):
+        gauges[law].add(0.0 if holds[law](*names) else -math.inf, names, None, None)
+
+    pairs, singles = set(), set()
+    for x, y, z in triples:
+        score("associativity", x, y, z)
+        if (x, y) not in pairs:
+            pairs.add((x, y))
+            score("commutativity", x, y)
+            score("well_definedness", x, y)
+        if x not in singles:
+            singles.add(x)
+            score("identity_element", x)
+    return tuple(g.row() for g in gauges.values())
+
+
+def oracle_contractivity_checks(quads, sides):
+    """``check_contractivity`` scored one instance at a time: ``sides(x, y,
+    z, w)`` is ``d(x*y, z*w), d(x,z) + d(y,w)``."""
+    gauge = OracleGauge("contractivity", -SCORING_TOLERANCE)
+    for quad in quads:
+        lhs, rhs = sides(*quad)
+        gauge.add(rhs - lhs, quad, lhs, rhs)
+    return (gauge.row(),)
+
+
+def oracle_entropy_law_checks(laws, triples, gaps):
+    """``check_entropy_laws`` scored one instance at a time: ``gaps(triple)``
+    is each law's gap, ``None`` where its hypothesis did not fire."""
+    gauges = [OracleGauge(law, -SCORING_TOLERANCE) for law in laws]
+    for triple in triples:
+        for gauge, gap in zip(gauges, gaps(triple)):
+            if gap is None:
+                gauge.skip()
+            else:
+                gauge.add(-gap, triple, gap, 0.0)
+    return tuple(g.row() for g in gauges)
+
+
+def oracle_cross_checks(routes):
+    """``cross_check`` scored: ``routes`` pairs each check's name with its two
+    route values, or with ``None`` where it is vacuous.  No witness."""
+    rows = []
+    for name, values in routes:
+        gauge = OracleGauge(name, -SCORING_TOLERANCE)
+        if values is None:
+            gauge.skip()
+        else:
+            gauge.add(-abs(values[0] - values[1]), None, *values)
+        rows.append(gauge.row())
+    return tuple(rows)
 
 
 def oracle_distance_checks(names, d, same, triples):

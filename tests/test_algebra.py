@@ -16,7 +16,7 @@ from catent.algebra import (
     joint,
     relabel,
 )
-from catent.entropy import TOLERANCE, check_conditional_entropy_laws
+from catent.entropy import check_conditional_entropy_laws
 from catent.ingest import load_csv, save_csv
 from catent.metric import instances, partition_distance
 from catent.model import (
@@ -121,13 +121,18 @@ def contractivity_by_partition_distance(dataset, quads):
             first[key] = partition_distance(p, q)
         return first[key]
 
-    g = metric._Gauge("contractivity", -TOLERANCE)
-    for x, y, z, w in quads:
+    def sides(x, y, z, w):
         lhs = d(frozenset({(x, y), (z, w)}),
                 join(parts[x], parts[y]), join(parts[z], parts[w]))
-        rhs = d(frozenset({x, z}), parts[x], parts[z]) + d(frozenset({y, w}), parts[y], parts[w])
-        g.add(rhs - lhs, (x, y, z, w), lhs=lhs, rhs=rhs)
-    return metric._report(g)
+        return lhs, (d(frozenset({x, z}), parts[x], parts[z])
+                     + d(frozenset({y, w}), parts[y], parts[w]))
+
+    return _report(oracle.oracle_contractivity_checks(quads, sides))
+
+
+def _report(rows):
+    """An ``AxiomReport`` of ``oracle.OracleGauge`` rows."""
+    return metric.AxiomReport(tuple(metric.AxiomCheck(*row) for row in rows))
 
 
 def _fields(report):
@@ -146,21 +151,17 @@ def monoid_by_ordered_joins(dataset, triples=None, seed=0):
     parts = {nm: induced_partition(dataset[nm], dataset) for nm in dataset.names}
     pair = functools.cache(lambda a, b: join(parts[a], parts[b]))
     const = trivial_partition(dataset)
-    gauges = [metric._Gauge(name, 0.0) for name in MONOID_CHECKS]
-    g_assoc, g_commut, g_ident, g_well = gauges
-    verdict = lambda equal: 0.0 if equal else float("-inf")  # noqa: E731
-    pairs_done, singles_done = set(), set()
-    for x, y, z in instances(dataset.names, 3, triples, seed):
-        g_assoc.add(verdict(join(pair(x, y), parts[z]) == join(parts[x], pair(y, z))), (x, y, z))
-        if (x, y) not in pairs_done:
-            pairs_done.add((x, y))
-            g_commut.add(verdict(pair(x, y) == pair(y, x)), (x, y))
-            copies = joint(relabel(dataset[x]), relabel(dataset[y]), dataset)
-            g_well.add(verdict(induced_partition(copies, dataset) == pair(x, y)), (x, y))
-        if x not in singles_done:
-            singles_done.add(x)
-            g_ident.add(verdict(join(parts[x], const) == parts[x]), (x,))
-    return metric._report(*gauges)
+
+    def well_defined(x, y):
+        copies = joint(relabel(dataset[x]), relabel(dataset[y]), dataset)
+        return induced_partition(copies, dataset) == pair(x, y)
+
+    return _report(oracle.oracle_monoid_checks(instances(dataset.names, 3, triples, seed), {
+        "associativity": lambda x, y, z: join(pair(x, y), parts[z]) == join(parts[x], pair(y, z)),
+        "commutativity": lambda x, y: pair(x, y) == pair(y, x),
+        "identity_element": lambda x: join(parts[x], const) == parts[x],
+        "well_definedness": well_defined,
+    }))
 
 
 def _counting(monkeypatch, module, name):
@@ -423,14 +424,20 @@ class TestSharedWork:
     def wide(self):
         return gen_dataset(GenConfig(seed=11, correlation_mode="refined"), columns=10)
 
-    def test_monoid_matches_the_ordered_join_loop(self, acceptance_population, wide):
-        for dataset in acceptance_population:
+    # the references score one instance at a time (``oracle.OracleGauge``), so
+    # these also hold each validator's scoring to the per-instance oracle
+    @pytest.fixture(scope="class")
+    def seeds_0_to_999(self):
+        return [gen_dataset(GenConfig(seed=s), columns=s % 4 + 2) for s in range(1000)]
+
+    def test_monoid_matches_the_ordered_join_loop(self, seeds_0_to_999, wide):
+        for dataset in seeds_0_to_999:
             assert _fields(check_monoid_laws(dataset)) == _fields(monoid_by_ordered_joins(dataset))
         assert (_fields(check_monoid_laws(wide, triples=1000, seed=3))
                 == _fields(monoid_by_ordered_joins(wide, 1000, 3)))
 
-    def test_contractivity_matches_the_ordered_join_loop(self, acceptance_population, wide):
-        for dataset in acceptance_population:
+    def test_contractivity_matches_the_ordered_join_loop(self, seeds_0_to_999, wide):
+        for dataset in seeds_0_to_999:
             assert (_fields(check_contractivity(dataset)) == _fields(
                 contractivity_by_partition_distance(dataset, instances(dataset.names, 4))))
         assert (_fields(check_contractivity(wide, quadruples=1000, seed=3)) == _fields(

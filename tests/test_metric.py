@@ -24,17 +24,21 @@ from catent.entropy import (
     _law_gaps,
     _three_way,
     check_conditional_entropy_laws,
+    conditional_entropy,
     entropy,
+    joint_entropy,
     mutual_information,
     symmetric_uncertainty,
 )
 from catent.metric import (
     MAX_DEMO_STEPS,
+    AxiomReport,
     DistanceMatrix,
-    _Gauge,
+    _score,
     check_distance_axioms,
     check_entropy_laws,
     check_similarity_axioms,
+    cross_check,
     distance_matrix,
     instances,
     merge_reports,
@@ -376,7 +380,7 @@ class TestMergeReports:
             distance_report(internship).check("no_such_axiom")
 
 
-# margins that stress the gauge's rules: signed zeros, infinities, NaN, the
+# margins that stress the scoring rules: signed zeros, infinities, NaN, the
 # thresholds themselves, and ties among a few values
 MARGINS = st.one_of(
     st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -TOLERANCE, TOLERANCE, -1.0]),
@@ -384,29 +388,24 @@ MARGINS = st.one_of(
 )
 
 
-def _gauge_state(g):
-    return (g.count, g.nonvacuous, g.violations, g.witness,
-            repr(g.worst), repr(g.lhs), repr(g.rhs))
-
-
-class TestGaugeExtend:
-    @given(st.lists(MARGINS, max_size=4), st.lists(st.lists(MARGINS, max_size=8), max_size=4),
+class TestScore:
+    # None marks a vacuous instance: counted, with no margin
+    @given(st.lists(st.one_of(st.none(), MARGINS), max_size=12),
            st.sampled_from([-TOLERANCE, TOLERANCE, 0.0]), st.booleans())
     @settings(max_examples=400)
-    def test_extend_is_a_loop_of_add(self, before, chunks, threshold, strict):
-        flat = [m for chunk in chunks for m in chunk]
-        sides = lambda i: (flat[i], float(i))  # noqa: E731  (one instance's lhs and rhs)
-        bulk, loop = _Gauge("g", threshold, strict), _Gauge("g", threshold, strict)
-        for g in bulk, loop:  # state from earlier instances
-            for k, m in enumerate(before):
-                g.add(m, ("before", k), m, -1.0)
-        for i, m in enumerate(flat):
-            loop.add(m, (i,), *sides(i))
-        start = 0
-        for chunk in chunks:
-            bulk.extend(chunk, [(i,) for i in range(start, start + len(chunk))], sides)
-            start += len(chunk)
-        assert _gauge_state(bulk) == _gauge_state(loop)
+    def test_score_is_a_loop_of_the_oracle_gauge(self, items, threshold, strict):
+        margins = [m for m in items if m is not None]
+        witnesses = [(k,) for k, m in enumerate(items) if m is not None]
+        sides = lambda i: (margins[i], float(witnesses[i][0]))  # noqa: E731
+        got = _score("g", margins, witnesses, sides, threshold, strict,
+                     vacuous=items.count(None))
+        loop = oracle.OracleGauge("g", threshold, strict)
+        for k, m in enumerate(items):
+            if m is None:
+                loop.skip()
+            else:
+                loop.add(m, (k,), m, float(k))
+        assert _rows(AxiomReport((got,))) == repr((loop.row(),))
 
 
 def _rows(report):
@@ -424,6 +423,39 @@ def _assert_both_validators_match_the_oracle(dataset, triples=None, seed=0):
         oracle.oracle_distance_checks(names, matrix.value, same, triple_list))
     assert _rows(check_similarity_axioms(dataset, triples, seed)) == repr(
         oracle.oracle_similarity_checks(names, su, same, triple_list))
+
+
+def _entropy_law_rows(dataset, triples=None, seed=0):
+    # each triple's gaps from the one-triple check, which joins the columns; a
+    # memo keyed by the unordered pair would hand H(y|x) to H(x|y) and move them
+    parts = canonical_classes(dataset)
+
+    def gaps(triple):
+        report = check_conditional_entropy_laws(*map(parts.__getitem__, triple))
+        return [None if c.vacuous else c.gap for c in report.clauses]
+
+    return oracle.oracle_entropy_law_checks(
+        LAWS, instances(dataset.names, 3, triples, seed), gaps)
+
+
+def _cross_rows(x, y):
+    # the routes of the cross_check docstring
+    hx, hy, hxy = entropy(x), entropy(y), joint_entropy(x, y)
+    hx_y, hy_x = conditional_entropy(x, y), conditional_entropy(y, x)
+    mi = ("mutual_information", (hx - hx_y, hx + hy - hxy))
+    if hx + hy == 0.0:
+        return oracle.oracle_cross_checks(
+            [mi, ("symmetric_uncertainty", (1.0, 1.0)), ("distance", None)])
+    su = 2.0 * (hx - hx_y) / (hx + hy)
+    return oracle.oracle_cross_checks([
+        mi, ("symmetric_uncertainty", (su, 2.0 * (1.0 - hxy / (hx + hy)))),
+        ("distance", (1.0 - su, (hx_y + hy_x) / (hx + hy)))])
+
+
+def _assert_cross_check_matches_the_oracle(dataset):
+    parts = canonical_classes(dataset)
+    for a, b in itertools.product(dataset.names, repeat=2):
+        assert _rows(cross_check(parts[a], parts[b])) == repr(_cross_rows(parts[a], parts[b]))
 
 
 def _ten_column_table(seed, rows=1000, k=8):
@@ -446,8 +478,9 @@ CELLS = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 1.5, -0.5, math.nan, math.in
 
 
 class TestPerInstanceOracle:
-    """Both pair-table validators report exactly what the per-instance
-    scoring in ``tests/oracle.py`` reports, compared by ``repr``."""
+    """The validators of this module report exactly what the per-instance
+    scoring in ``tests/oracle.py`` reports, compared by ``repr``; those of
+    ``catent.algebra`` are held to it in ``test_algebra.py::TestSharedWork``."""
 
     def test_acceptance_population(self):
         for seed in range(1000):
@@ -457,6 +490,21 @@ class TestPerInstanceOracle:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_ten_column_tables_take_the_sampled_path(self, seed):
         _assert_both_validators_match_the_oracle(_ten_column_table(seed))
+
+    def test_entropy_laws_on_the_acceptance_population(self):
+        for seed in range(1000):
+            data = gen_dataset(GenConfig(seed=seed), columns=(seed % 4) + 2)
+            assert _rows(check_entropy_laws(data)) == repr(_entropy_law_rows(data)), seed
+
+    def test_cross_check_on_the_acceptance_population(self):
+        for seed in range(1000):
+            _assert_cross_check_matches_the_oracle(
+                gen_dataset(GenConfig(seed=seed), columns=(seed % 4) + 2))
+
+    def test_entropy_laws_and_cross_check_on_a_sampled_ten_column_table(self):
+        data = _ten_column_table(0, rows=200)
+        assert _rows(check_entropy_laws(data, 300, 1)) == repr(_entropy_law_rows(data, 300, 1))
+        _assert_cross_check_matches_the_oracle(data)
 
     @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
         st.lists(st.lists(CELLS, min_size=n, max_size=n), min_size=n, max_size=n),
@@ -538,13 +586,6 @@ class TestEntropyLaws:
         assert [c.name for c in report.checks] == list(LAWS)
         assert _dataset_tally(report) == _per_triple_tally(internship)
         assert report.check("coarsening_monotone").nonvacuous == 72
-
-    def test_both_routes_agree_on_the_acceptance_population(self):
-        # a memo keyed by the unordered pair would hand H(y|x) to H(x|y)
-        # and move these counts
-        for seed in range(1000):
-            data = gen_dataset(GenConfig(seed=seed), columns=seed % 4 + 2)
-            assert _dataset_tally(check_entropy_laws(data)) == _per_triple_tally(data), seed
 
     def test_both_routes_agree_on_a_sampled_wide_dataset(self):
         data = gen_dataset(GenConfig(seed=11, correlation_mode="refined"), columns=10)
