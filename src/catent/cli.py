@@ -31,6 +31,7 @@ from .entropy import (
 )
 from .ingest import MATRIX_FORMATS, CsvSpec, load_csv, save_csv, save_matrix
 from .metric import (
+    DEFAULT_SAMPLES,
     MAX_DEMO_STEPS,
     AxiomReport,
     check_distance_axioms,
@@ -45,8 +46,8 @@ from .randgen import MODES, GenConfig, gen_dataset
 
 # --random is a count of generated datasets; a hundred times the acceptance population
 MAX_RANDOM = 100_000
-# --triples and --quadruples are drawn up front; a hundred times DEFAULT_SAMPLES
-MAX_SAMPLES = 100_000
+# --triples and --quadruples are drawn up front
+MAX_SAMPLES = 100 * DEFAULT_SAMPLES
 # columns per dataset from --random; the generator's other flags, by dest
 RANDOM_COLUMNS = 3
 _GEN_FLAGS = {"gen_columns": "--columns", "rows": "--rows",

@@ -222,7 +222,10 @@ def _score(name: str, margins: list[float], witnesses: Sequence, sides, threshol
 
 
 def merge_reports(reports: Iterable[AxiomReport]) -> AxiomReport:
-    """Combine same-shaped reports: counts add, worst witness wins."""
+    """Combine same-shaped reports: counts add, worst witness wins.  Merged
+    scores of consecutive pieces of a NaN-free margin list are ``_score`` of
+    the whole list; a report whose first violation is a NaN keeps no finite
+    worst slack, so pieces [-0.5] and [nan, -0.9] merge to worst -0.5."""
     merged: dict[str, AxiomCheck] = {}  # in order of first appearance
     for report in reports:
         for c in report.checks:

@@ -207,9 +207,9 @@ class Dataset(_Value):
     denominator, and ``multiplicities`` is ``None`` when all rows weigh
     ``1 / scale``.  ``row_weights``, the positive ``Fraction`` weights
     summing to one, is what the constructor takes; ``from_columns``
-    defaults to uniform weights and ``with_column`` keeps its dataset's,
-    and neither builds a weight per row: their ``row_weights`` is derived
-    from the integers on first read.
+    defaults to uniform weights and ``with_column`` keeps its dataset's.
+    No dataset keeps a weight per row: ``row_weights`` is derived from the
+    integers on first read.
     """
 
     _fields = ("columns", "row_weights")
@@ -225,7 +225,6 @@ class Dataset(_Value):
             raise StructuralError("row weights must be positive")
         if (len(weights) if mult is None else sum(mult)) != scale:
             raise StructuralError("row weights must sum to 1")
-        _set(self, "row_weights", weights)
         _on_universe(self, columns, len(weights), scale, mult)
 
     @_stored

@@ -29,8 +29,8 @@ MODES = ("independent", "refined", "noisy-copy", "arbitrary")
 MAX_ROWS = 1 << 21
 MAX_ALPHABET = 1 << 21
 MAX_COLUMNS = 1000
-# and on rows x columns: the nondiscreteness demo's largest dataset, 2 columns x 2 Mi rows
-MAX_CELLS = 1 << 22
+# and on rows x columns: the nondiscreteness demo's largest dataset, 2 columns
+MAX_CELLS = 2 * MAX_ROWS
 
 
 class ConfigError(CatentError, ValueError):

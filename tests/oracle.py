@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from catent.ingest import CsvSpec
 from catent.model import format_label
+from catent.randgen import GenConfig, gen_dataset
 
 # ---------------------------------------------------------------------------
 # reference transcription of the bundled internship dataset (20 rows)
@@ -75,6 +76,18 @@ INDISCERNIBLES_ROWS = (
 def internship_column(name: str) -> list[str]:
     i = INTERNSHIP_COLUMNS.index(name)
     return [row[i] for row in INTERNSHIP_ROWS]
+
+
+# ---------------------------------------------------------------------------
+# the acceptance population of tests/test_acceptance.py, seeds 0-999
+
+
+def acceptance_population(seeds=range(1000)):
+    """``(seed, dataset)`` of the acceptance population, at most 12 rows, 4
+    symbols and 5 columns.  Each call builds every dataset afresh, so no
+    caller sees another's column memo or the joins it stored."""
+    for seed in seeds:
+        yield seed, gen_dataset(GenConfig(seed=seed), columns=seed % 4 + 2)
 
 
 # ---------------------------------------------------------------------------

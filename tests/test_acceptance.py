@@ -138,10 +138,7 @@ def _rajski_matrix(dataset) -> DistanceMatrix:
 @pytest.fixture(scope="module")
 def population():
     """1000 seeded datasets: at most 12 rows, 4 symbols, 5 columns."""
-    return [
-        (seed, gen_dataset(GenConfig(seed=seed), columns=(seed % 4) + 2))
-        for seed in range(POPULATION_SIZE)
-    ]
+    return list(oracle.acceptance_population(range(POPULATION_SIZE)))
 
 
 def test_criterion_1_reference_su_values(internship):

@@ -42,7 +42,7 @@ MONOID_CHECKS = (
 
 @pytest.fixture(scope="module")
 def acceptance_population():
-    return [gen_dataset(GenConfig(seed=s), columns=s % 4 + 2) for s in range(200)]
+    return [dataset for _, dataset in oracle.acceptance_population(range(200))]
 
 
 def one_sided_joint(monkeypatch):
@@ -428,7 +428,7 @@ class TestSharedWork:
     # these also hold each validator's scoring to the per-instance oracle
     @pytest.fixture(scope="class")
     def seeds_0_to_999(self):
-        return [gen_dataset(GenConfig(seed=s), columns=s % 4 + 2) for s in range(1000)]
+        return [dataset for _, dataset in oracle.acceptance_population()]
 
     def test_monoid_matches_the_ordered_join_loop(self, seeds_0_to_999, wide):
         for dataset in seeds_0_to_999:

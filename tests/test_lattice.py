@@ -29,7 +29,6 @@ from catent.algebra import check_contractivity
 from catent.entropy import TOLERANCE, conditional_entropy, entropy, mutual_information
 from catent.metric import check_distance_axioms, distance_matrix, partition_distance
 from catent.model import Dataset, canonical_classes, join
-from catent.randgen import GenConfig, gen_dataset
 
 import oracle
 import strategies
@@ -87,8 +86,7 @@ def sandwich_misses(pairs, low: float, high: float) -> int:
 
 def acceptance_classes():
     """The column partitions of each acceptance-population dataset, seeds 0-999."""
-    for seed in range(1000):
-        data = gen_dataset(GenConfig(seed=seed), columns=seed % 4 + 2)
+    for _, data in oracle.acceptance_population():
         yield list(canonical_classes(data).values())
 
 

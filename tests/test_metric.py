@@ -342,6 +342,24 @@ class TestDistanceAxioms:
         assert sim.passed == dist.passed
 
 
+# margins that stress the scoring rules: signed zeros, infinities, NaN, the
+# thresholds themselves, and ties among a few values
+MARGINS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -TOLERANCE, TOLERANCE, -1.0]),
+    st.floats(-2.0, 2.0),
+)
+
+
+def _scored(items, ks, threshold, strict):
+    # _score of items[k] for k in ks, each witnessed by its global index k;
+    # None marks a vacuous instance: counted, with no margin
+    scored = [k for k in ks if items[k] is not None]
+    margins = [items[k] for k in scored]
+    return AxiomReport((_score("g", margins, [(k,) for k in scored],
+                               lambda i: (margins[i], float(scored[i])), threshold, strict,
+                               vacuous=len(ks) - len(scored)),))
+
+
 class TestMergeReports:
     def test_instances_add_and_worst_witness_wins(
         self, internship, triangle_counterexample
@@ -379,33 +397,40 @@ class TestMergeReports:
         with pytest.raises(KeyError, match="no_such_axiom"):
             distance_report(internship).check("no_such_axiom")
 
+    @given(st.lists(st.one_of(st.none(), MARGINS.filter(lambda m: m == m)), max_size=12),
+           st.lists(st.integers(0, 12), max_size=4),
+           st.sampled_from([-TOLERANCE, TOLERANCE, 0.0]), st.booleans())
+    @settings(max_examples=400)
+    def test_merge_of_chunk_scores_is_the_score_of_the_whole_list(
+            self, items, cuts, threshold, strict):
+        bounds = [0, *sorted(min(cut, len(items)) for cut in cuts), len(items)]
+        merged = merge_reports(_scored(items, range(a, b), threshold, strict)
+                               for a, b in zip(bounds, bounds[1:]))
+        assert repr(merged) == repr(_scored(items, range(len(items)), threshold, strict))
 
-# margins that stress the scoring rules: signed zeros, infinities, NaN, the
-# thresholds themselves, and ties among a few values
-MARGINS = st.one_of(
-    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -TOLERANCE, TOLERANCE, -1.0]),
-    st.floats(-2.0, 2.0),
-)
+    def test_a_nan_first_violation_hides_a_later_smaller_margin_of_its_chunk(self):
+        # the chunk [nan, -0.9] keeps its NaN as worst slack, not -0.9
+        items = [-0.5, math.nan, -0.9]
+        merged = merge_reports([_scored(items, range(1), -TOLERANCE, False),
+                                _scored(items, range(1, 3), -TOLERANCE, False)]).checks[0]
+        whole = _scored(items, range(3), -TOLERANCE, False).checks[0]
+        assert merged.violations == whole.violations == 3
+        assert (merged.worst_slack, merged.witness) == (-0.5, (0,))
+        assert (whole.worst_slack, whole.witness) == (-0.9, (2,))
 
 
 class TestScore:
-    # None marks a vacuous instance: counted, with no margin
     @given(st.lists(st.one_of(st.none(), MARGINS), max_size=12),
            st.sampled_from([-TOLERANCE, TOLERANCE, 0.0]), st.booleans())
     @settings(max_examples=400)
     def test_score_is_a_loop_of_the_oracle_gauge(self, items, threshold, strict):
-        margins = [m for m in items if m is not None]
-        witnesses = [(k,) for k, m in enumerate(items) if m is not None]
-        sides = lambda i: (margins[i], float(witnesses[i][0]))  # noqa: E731
-        got = _score("g", margins, witnesses, sides, threshold, strict,
-                     vacuous=items.count(None))
         loop = oracle.OracleGauge("g", threshold, strict)
         for k, m in enumerate(items):
             if m is None:
                 loop.skip()
             else:
                 loop.add(m, (k,), m, float(k))
-        assert _rows(AxiomReport((got,))) == repr((loop.row(),))
+        assert _rows(_scored(items, range(len(items)), threshold, strict)) == repr((loop.row(),))
 
 
 def _rows(report):
@@ -426,13 +451,14 @@ def _assert_both_validators_match_the_oracle(dataset, triples=None, seed=0):
 
 
 def _entropy_law_rows(dataset, triples=None, seed=0):
-    # each triple's gaps from the one-triple check, which joins the columns; a
-    # memo keyed by the unordered pair would hand H(y|x) to H(x|y) and move them
+    # each triple's gaps from the law body on the join route, which the
+    # three-way tally of check_entropy_laws must equal bit for bit; a memo
+    # keyed by the unordered pair would hand H(y|x) to H(x|y) and move them
     parts = canonical_classes(dataset)
 
     def gaps(triple):
-        report = check_conditional_entropy_laws(*map(parts.__getitem__, triple))
-        return [None if c.vacuous else c.gap for c in report.clauses]
+        x, y, z = map(parts.__getitem__, triple)
+        return _law_gaps(x, y, z, is_coarser(x, y), _join_route(x, y, z))
 
     return oracle.oracle_entropy_law_checks(
         LAWS, instances(dataset.names, 3, triples, seed), gaps)
@@ -483,23 +509,20 @@ class TestPerInstanceOracle:
     ``catent.algebra`` are held to it in ``test_algebra.py::TestSharedWork``."""
 
     def test_acceptance_population(self):
-        for seed in range(1000):
-            _assert_both_validators_match_the_oracle(
-                gen_dataset(GenConfig(seed=seed), columns=(seed % 4) + 2))
+        for _, data in oracle.acceptance_population():
+            _assert_both_validators_match_the_oracle(data)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_ten_column_tables_take_the_sampled_path(self, seed):
         _assert_both_validators_match_the_oracle(_ten_column_table(seed))
 
     def test_entropy_laws_on_the_acceptance_population(self):
-        for seed in range(1000):
-            data = gen_dataset(GenConfig(seed=seed), columns=(seed % 4) + 2)
+        for seed, data in oracle.acceptance_population():
             assert _rows(check_entropy_laws(data)) == repr(_entropy_law_rows(data)), seed
 
     def test_cross_check_on_the_acceptance_population(self):
-        for seed in range(1000):
-            _assert_cross_check_matches_the_oracle(
-                gen_dataset(GenConfig(seed=seed), columns=(seed % 4) + 2))
+        for _, data in oracle.acceptance_population():
+            _assert_cross_check_matches_the_oracle(data)
 
     def test_entropy_laws_and_cross_check_on_a_sampled_ten_column_table(self):
         data = _ten_column_table(0, rows=200)
@@ -648,9 +671,8 @@ class TestEntropyLaws:
     # H(x v y | z), H(y | x v z), H(x | y v z) and H(x v y) come from one
     # three-way cell tally per triple: the join route's floats, bit for bit
     def test_join_side_values_are_the_join_routes_on_the_acceptance_population(self):
-        for seed in range(1000):
-            _assert_three_way_is_the_join_route(
-                gen_dataset(GenConfig(seed=seed), columns=seed % 4 + 2))
+        for _, data in oracle.acceptance_population():
+            _assert_three_way_is_the_join_route(data)
 
     @given(strategies.weighted_datasets())
     @settings(max_examples=100, deadline=None)
